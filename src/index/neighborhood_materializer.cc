@@ -142,19 +142,6 @@ Status TimedUnit(KnnSearchContext& ctx, const KnnIndex& index,
   return Status::OK();
 }
 
-Status CheckMemoryBudget(size_t n, size_t k_max, size_t budget_bytes) {
-  if (budget_bytes == 0) return Status::OK();
-  const size_t projected =
-      NeighborhoodMaterializer::ProjectedBytes(n, k_max);
-  if (projected > budget_bytes) {
-    return Status::ResourceExhausted(
-        StrFormat("materialization of %zu points at k_max=%zu needs >= %zu "
-                  "bytes, budget is %zu",
-                  n, k_max, projected, budget_bytes));
-  }
-  return Status::OK();
-}
-
 // The parallel query engine shared by MaterializeParallel (one window
 // covering every point) and the streaming spill build (bounded windows):
 // fills lists[i - begin_point] for points [begin_point, end_point), sharded
@@ -312,10 +299,8 @@ Status AppendNeighborEntries(ContainerWriter& writer,
 Result<NeighborhoodMaterializer> NeighborhoodMaterializer::Materialize(
     const Dataset& data, const KnnIndex& index, size_t k_max,
     bool distinct_neighbors, const PipelineObserver& observer,
-    const StopToken& stop, size_t memory_budget_bytes) {
+    const StopToken& stop) {
   LOFKIT_RETURN_IF_ERROR(ValidateMaterializationArgs(data, k_max));
-  LOFKIT_RETURN_IF_ERROR(
-      CheckMemoryBudget(data.size(), k_max, memory_budget_bytes));
   NeighborhoodMaterializer m(k_max, distinct_neighbors);
   m.data_ = &data;
   const size_t n = data.size();
@@ -388,14 +373,12 @@ Result<NeighborhoodMaterializer> NeighborhoodMaterializer::Materialize(
 Result<NeighborhoodMaterializer> NeighborhoodMaterializer::MaterializeParallel(
     const Dataset& data, const KnnIndex& index, size_t k_max, size_t threads,
     bool distinct_neighbors, const PipelineObserver& observer,
-    const StopToken& stop, size_t memory_budget_bytes) {
+    const StopToken& stop) {
   if (ResolveThreadCount(threads) <= 1) {
-    return Materialize(data, index, k_max, distinct_neighbors, observer, stop,
-                       memory_budget_bytes);
+    return Materialize(data, index, k_max, distinct_neighbors, observer,
+                       stop);
   }
   LOFKIT_RETURN_IF_ERROR(ValidateMaterializationArgs(data, k_max));
-  LOFKIT_RETURN_IF_ERROR(
-      CheckMemoryBudget(data.size(), k_max, memory_budget_bytes));
   const size_t n = data.size();
   std::vector<std::vector<Neighbor>> lists(n);
   TraceRecorder::Span span(observer.trace, "materialize", /*tid=*/0);

@@ -43,16 +43,12 @@ class NeighborhoodMaterializer {
   /// observer disables both with zero overhead.
   ///
   /// `stop` is polled at chunk boundaries; a tripped token returns its
-  /// latched kCancelled / kDeadlineExceeded status. A non-zero
-  /// `memory_budget_bytes` is compared against ProjectedBytes(n, k_max)
-  /// before any query runs; a projected overflow returns
-  /// kResourceExhausted so the caller can degrade to the spill or re-query
-  /// path instead of materializing.
+  /// latched kCancelled / kDeadlineExceeded status. Memory budgets are
+  /// decided before this call, by internal_lof::MaterializeWithinBudget.
   static Result<NeighborhoodMaterializer> Materialize(
       const Dataset& data, const KnnIndex& index, size_t k_max,
       bool distinct_neighbors = false,
-      const PipelineObserver& observer = {}, const StopToken& stop = {},
-      size_t memory_budget_bytes = 0);
+      const PipelineObserver& observer = {}, const StopToken& stop = {});
 
   /// Parallel step 1: the n queries are embarrassingly parallel (every
   /// KnnIndex implementation is stateless per query), so they are sharded
@@ -63,13 +59,12 @@ class NeighborhoodMaterializer {
   /// and its error is propagated instead of being swallowed. Query-cost
   /// counters accumulate into per-worker shards and are summed after the
   /// join, so observer totals are identical at every thread count.
-  /// `stop` and `memory_budget_bytes` behave exactly as in Materialize;
-  /// the token additionally aborts the other workers at their next chunk.
+  /// `stop` behaves exactly as in Materialize and additionally aborts the
+  /// other workers at their next chunk.
   static Result<NeighborhoodMaterializer> MaterializeParallel(
       const Dataset& data, const KnnIndex& index, size_t k_max,
       size_t threads, bool distinct_neighbors = false,
-      const PipelineObserver& observer = {}, const StopToken& stop = {},
-      size_t memory_budget_bytes = 0);
+      const PipelineObserver& observer = {}, const StopToken& stop = {});
 
   /// The spill rung of the memory-budget ladder: runs step 1 in bounded
   /// windows of points (parallel queries inside each window, identical
@@ -89,7 +84,8 @@ class NeighborhoodMaterializer {
   /// offsets table. Ties and distinct-mode growth can push the real size
   /// higher, so a budget decision made on this estimate is optimistic — but
   /// it is available before any query runs, which is what the
-  /// materialize-vs-spill-vs-requery degradation decision needs.
+  /// materialize-vs-spill-vs-requery decision
+  /// (internal_lof::MaterializeWithinBudget) needs.
   static size_t ProjectedBytes(size_t n, size_t k_max) {
     return n * k_max * sizeof(Neighbor) + (n + 1) * sizeof(size_t);
   }

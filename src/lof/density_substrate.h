@@ -120,7 +120,8 @@ class DensitySubstrate {
   const KnnIndex* index() const { return index_; }
 
   /// Validates a MinPts value against this substrate's backend, with the
-  /// exact error text LofComputer::Compute / ComputeRequery always used.
+  /// exact error text LofComputer::Compute and the re-query route always
+  /// used.
   Status ValidateMinPts(size_t min_pts) const;
 
   /// The k-distance view of point i for 1 <= k (<= k_max(), enforced by

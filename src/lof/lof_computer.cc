@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -186,14 +185,6 @@ Result<LofScores> LofComputer::ComputeForCandidates(
   return ComputeLofPasses(substrate, min_pts, options, &candidates);
 }
 
-Result<LofScores> LofComputer::ComputeRequery(
-    const Dataset& data, const KnnIndex& index, size_t min_pts,
-    const LofComputeOptions& options) {
-  LOFKIT_ASSIGN_OR_RETURN(DensitySubstrate substrate,
-                          DensitySubstrate::OverIndex(data, index));
-  return ComputeOverSubstrate(substrate, min_pts, options);
-}
-
 Result<LofScores> LofComputer::ComputeFromScratch(
     const Dataset& data, const Metric& metric, size_t min_pts,
     IndexKind index_kind, bool distinct_neighbors,
@@ -207,66 +198,23 @@ Result<LofScores> LofComputer::ComputeFromScratch(
     TraceRecorder::Span span(options.observer.trace, "index_build");
     LOFKIT_RETURN_IF_ERROR(index->Build(data, metric));
   }
-  const size_t budget = options.memory_budget_bytes;
-  if (budget != 0 && NeighborhoodMaterializer::ProjectedBytes(
-                         data.size(), min_pts) > budget) {
-    // The degradation ladder: spill M to disk and keep going (rung 2),
-    // else fall back to the 3n-query re-query path (rung 3). Every rung
-    // produces bit-identical score bits; only RAM and wall time differ.
-    if (!options.spill_directory.empty()) {
-      LOFKIT_LOG(Warning)
-          << "projected materialization ("
-          << NeighborhoodMaterializer::ProjectedBytes(data.size(), min_pts)
-          << " bytes) exceeds the memory budget (" << budget
-          << " bytes); spilling M to disk under '"
-          << options.spill_directory << "'";
-      auto spilled = internal_lof::SpillMaterialize(
-          data, *index, min_pts, options.threads, distinct_neighbors,
-          options.spill_directory, options.observer, options.stop);
-      if (spilled.ok()) {
-        const double materialize_seconds = watch.ElapsedSeconds();
-        LOFKIT_ASSIGN_OR_RETURN(LofScores scores,
-                                Compute(*spilled, min_pts, options));
-        scores.phase_times.materialize_seconds = materialize_seconds;
-        scores.spilled_to_disk = true;
-        return scores;
-      }
-      const StatusCode code = spilled.status().code();
-      if (code == StatusCode::kCancelled ||
-          code == StatusCode::kDeadlineExceeded || distinct_neighbors) {
-        // A tripped token is the caller's decision, not a disk problem;
-        // and distinct mode has no re-query rung to fall through to.
-        return spilled.status();
-      }
-      LOFKIT_LOG(Warning) << "spill to disk failed ("
-                          << spilled.status().ToString()
-                          << "); degrading to the re-query path";
-    }
-    if (distinct_neighbors) {
-      return Status::ResourceExhausted(StrFormat(
-          "materializing %zu points at min_pts=%zu exceeds the %zu-byte "
-          "memory budget, and distinct-neighbors mode has no re-query "
-          "fallback (set spill_directory to spill M to disk instead)",
-          data.size(), min_pts, budget));
-    }
-    LOFKIT_LOG(Warning)
-        << "projected materialization ("
-        << NeighborhoodMaterializer::ProjectedBytes(data.size(), min_pts)
-        << " bytes) exceeds the memory budget (" << budget
-        << " bytes); degrading to the re-query path";
-    LOFKIT_ASSIGN_OR_RETURN(LofScores scores,
-                            ComputeRequery(data, *index, min_pts, options));
-    scores.degraded_to_requery = true;
-    return scores;
-  }
   LOFKIT_ASSIGN_OR_RETURN(
-      NeighborhoodMaterializer m,
-      NeighborhoodMaterializer::MaterializeParallel(
+      internal_lof::BudgetedMaterialization built,
+      internal_lof::MaterializeWithinBudget(
           data, *index, min_pts, options.threads, distinct_neighbors,
+          options.memory_budget_bytes, options.spill_directory,
           options.observer, options.stop));
   const double materialize_seconds = watch.ElapsedSeconds();
-  LOFKIT_ASSIGN_OR_RETURN(LofScores scores, Compute(m, min_pts, options));
-  scores.phase_times.materialize_seconds = materialize_seconds;
+  LOFKIT_ASSIGN_OR_RETURN(
+      DensitySubstrate substrate,
+      built.m ? DensitySubstrate::OverMaterialization(*built.m)
+              : DensitySubstrate::OverIndex(data, *index));
+  LOFKIT_ASSIGN_OR_RETURN(LofScores scores,
+                          ComputeOverSubstrate(substrate, min_pts, options));
+  if (built.m) scores.phase_times.materialize_seconds = materialize_seconds;
+  scores.spilled_to_disk = built.rung == internal_lof::BudgetRung::kSpilled;
+  scores.degraded_to_requery =
+      built.rung == internal_lof::BudgetRung::kRequery;
   return scores;
 }
 

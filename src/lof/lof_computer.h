@@ -155,8 +155,9 @@ class LofComputer {
   /// Convenience single-call pipeline: build the given index over `data`,
   /// materialize min_pts neighborhoods (in parallel when options.threads
   /// asks for it), and compute LOF with the given options. A memory budget
-  /// that the projected M would overflow reroutes to ComputeRequery (see
-  /// LofComputeOptions::memory_budget_bytes).
+  /// that the projected M would overflow spills M or scores over the
+  /// re-query substrate instead (internal_lof::MaterializeWithinBudget;
+  /// see LofComputeOptions::memory_budget_bytes).
   static Result<LofScores> ComputeFromScratch(
       const Dataset& data, const Metric& metric, size_t min_pts,
       IndexKind index_kind = IndexKind::kLinearScan,
@@ -176,23 +177,6 @@ class LofComputer {
   static Result<LofScores> ComputeForCandidates(
       const NeighborhoodMaterializer& m, size_t min_pts,
       std::span<const uint32_t> candidates,
-      const LofComputeOptions& options = {});
-
-  /// Bounded-memory alternative to materialize-then-Compute: never builds
-  /// M, instead re-running the kNN query per point in each scan (the
-  /// k-distance pre-pass, the LRD pass, and the LOF pass — 3n queries
-  /// instead of n). Peak extra memory is three n-sized double arrays,
-  /// independent of min_pts, versus M's n * min_pts neighbor entries.
-  ///
-  /// Score bits are identical to the materialized path at every thread
-  /// count: Query(p, k) returns exactly the k-distance neighborhood (ties
-  /// included, (distance, index) order) that View(p, k) yields, so every
-  /// floating-point accumulation happens in the same order. `index` must
-  /// already be built over `data`. Distinct-neighbors mode is not supported
-  /// (its k-distinct growth loop is a materializer feature) and returns
-  /// InvalidArgument.
-  static Result<LofScores> ComputeRequery(
-      const Dataset& data, const KnnIndex& index, size_t min_pts,
       const LofComputeOptions& options = {});
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -102,11 +101,10 @@ Result<LofSweepResult> LofSweep::RunPruned(const NeighborhoodMaterializer& m,
   // range-bound computation covers every step at the cost of a single
   // step's bounds: each per-step LOF lies in the same [lower, upper], so
   // the max/min/mean aggregate does too. The partition path needs
-  // Theorem 2's per-step cardinality weights (and Lemma 1's per-step
-  // epsilon), so it keeps one bound computation per step, sharded over the
-  // step axis exactly like Run shards the score computations.
+  // Theorem 2's per-step cardinality weights, so it keeps one bound
+  // computation per step, sharded over the step axis exactly like Run
+  // shards the score computations.
   std::vector<LofBoundEstimate> combined;
-  std::vector<size_t> per_step_tightened(steps, 0);
   if (prune.partition.empty()) {
     // Chop the range into narrow blocks: one ComputeRangeBounds call
     // bounds every step inside its block, so a block's [lower, upper]
@@ -167,8 +165,6 @@ Result<LofSweepResult> LofSweep::RunPruned(const NeighborhoodMaterializer& m,
     }
   } else {
     std::vector<std::vector<LofBoundEstimate>> per_step_bounds(steps);
-    const bool lemma1_enabled =
-        prune.data != nullptr && prune.metric != nullptr;
     LofPrunerOptions pruner_options;
     pruner_options.threads = steps == 1 ? threads : 1;
     pruner_options.stop = stop;
@@ -179,18 +175,10 @@ Result<LofSweepResult> LofSweep::RunPruned(const NeighborhoodMaterializer& m,
               observer.trace,
               StrFormat("prune.bounds_min_pts_%zu", min_pts_lb + step),
               static_cast<uint32_t>(steps == 1 ? 0 : worker + 1));
-          const size_t step_min_pts = min_pts_lb + step;
           LOFKIT_ASSIGN_OR_RETURN(
               per_step_bounds[step],
-              LofPruner::ComputeBounds(m, step_min_pts, pruner_options));
-          if (lemma1_enabled) {
-            LOFKIT_ASSIGN_OR_RETURN(
-                per_step_tightened[step],
-                LofPruner::TightenWithLemma1(
-                    *prune.data, *prune.metric, m, step_min_pts,
-                    prune.partition, per_step_bounds[step],
-                    prune.lemma1_max_cluster_size));
-          }
+              LofPruner::ComputeBounds(m, min_pts_lb + step,
+                                       pruner_options));
           return Status::OK();
         }));
 
@@ -227,9 +215,6 @@ Result<LofSweepResult> LofSweep::RunPruned(const NeighborhoodMaterializer& m,
   result.prune.full_evaluations = selection.survivors.size() * steps;
   result.prune.pruned_evaluations =
       (n - selection.survivors.size()) * steps;
-  for (size_t count : per_step_tightened) {
-    result.prune.lemma1_tightened += count;
-  }
 
   // Stage 2 (expensive): full LOF, but only for the survivors. Same step
   // sharding and observer routing as ScorerSweep::Run: every step records
@@ -283,37 +268,6 @@ Result<LofSweepResult> LofSweep::RunPruned(const NeighborhoodMaterializer& m,
   return result;
 }
 
-Result<LofSweepResult> LofSweep::RunRequery(const Dataset& data,
-                                            const KnnIndex& index,
-                                            size_t min_pts_lb,
-                                            size_t min_pts_ub,
-                                            LofAggregation aggregation,
-                                            size_t threads,
-                                            const PipelineObserver& observer,
-                                            const StopToken& stop) {
-  // Validate before constructing the substrate so the historical error
-  // text (and its precedence over the empty-dataset case) is preserved.
-  LOFKIT_RETURN_IF_ERROR(ValidateSweepRange(min_pts_lb, min_pts_ub));
-  if (min_pts_ub >= data.size()) {
-    return Status::InvalidArgument(
-        StrFormat("MinPtsUB (%zu) must be smaller than the dataset size "
-                  "(%zu)",
-                  min_pts_ub, data.size()));
-  }
-  LOFKIT_ASSIGN_OR_RETURN(DensitySubstrate substrate,
-                          DensitySubstrate::OverIndex(data, index));
-  const std::unique_ptr<LocalScorer> scorer = CreateScorer(ScorerKind::kLof);
-  LocalScorerOptions options;
-  options.threads = threads;
-  options.observer = observer;
-  options.stop = stop;
-  LOFKIT_ASSIGN_OR_RETURN(
-      ScorerSweepResult sweep,
-      ScorerSweep::Run(substrate, *scorer, min_pts_lb, min_pts_ub,
-                       aggregation, /*keep_per_min_pts=*/false, options));
-  return ToLofSweepResult(std::move(sweep));
-}
-
 Result<std::vector<RankedOutlier>> LofSweep::RankOutliers(
     const Dataset& data, const Metric& metric, size_t min_pts_lb,
     size_t min_pts_ub, size_t top_n, IndexKind index_kind,
@@ -340,6 +294,9 @@ Result<std::vector<RankedOutlier>> LofSweep::RankOutliers(
   if (pipeline.degraded_to_requery != nullptr) {
     *pipeline.degraded_to_requery = false;
   }
+  if (pipeline.spilled_to_disk != nullptr) {
+    *pipeline.spilled_to_disk = false;
+  }
   if (pipeline.prune_summary != nullptr) {
     *pipeline.prune_summary = LofSweepResult::PruneSummary{};
   }
@@ -348,99 +305,54 @@ Result<std::vector<RankedOutlier>> LofSweep::RankOutliers(
         "prune-first ranking needs top_n >= 1: without a concrete top-N "
         "there is no threshold to discard against");
   }
-  if (pipeline.spilled_to_disk != nullptr) {
-    *pipeline.spilled_to_disk = false;
-  }
-  const size_t budget = pipeline.memory_budget_bytes;
-  std::optional<NeighborhoodMaterializer> m;
-  if (budget != 0 && NeighborhoodMaterializer::ProjectedBytes(
-                         data.size(), min_pts_ub) > budget) {
-    // Rung 2 of the ladder: spill M to a temporary container file and
-    // serve it via mmap. Unlike the re-query rung this keeps a real M, so
-    // the prune-first path stays available; the ranking bits are identical
-    // on every rung either way.
-    if (!pipeline.spill_directory.empty()) {
-      LOFKIT_LOG(Warning)
-          << "projected materialization ("
-          << NeighborhoodMaterializer::ProjectedBytes(data.size(),
-                                                      min_pts_ub)
-          << " bytes) exceeds the memory budget (" << budget
-          << " bytes); spilling M to disk under '"
-          << pipeline.spill_directory << "'";
-      auto spilled = internal_lof::SpillMaterialize(
+  LOFKIT_ASSIGN_OR_RETURN(
+      internal_lof::BudgetedMaterialization built,
+      internal_lof::MaterializeWithinBudget(
           data, *index, min_pts_ub, threads, /*distinct_neighbors=*/false,
-          pipeline.spill_directory, pipeline.observer, pipeline.stop);
-      if (spilled.ok()) {
-        m.emplace(std::move(spilled).value());
-        if (pipeline.spilled_to_disk != nullptr) {
-          *pipeline.spilled_to_disk = true;
-        }
-      } else {
-        const StatusCode code = spilled.status().code();
-        if (code == StatusCode::kCancelled ||
-            code == StatusCode::kDeadlineExceeded) {
-          return spilled.status();
-        }
-        LOFKIT_LOG(Warning) << "spill to disk failed ("
-                            << spilled.status().ToString()
-                            << "); degrading to the re-query path";
-      }
-    }
-    if (!m.has_value()) {
-      LOFKIT_LOG(Warning)
-          << "projected materialization ("
-          << NeighborhoodMaterializer::ProjectedBytes(data.size(),
-                                                      min_pts_ub)
-          << " bytes) exceeds the memory budget (" << budget
-          << " bytes); degrading the sweep to the re-query path";
-      if (pipeline.degraded_to_requery != nullptr) {
-        *pipeline.degraded_to_requery = true;
-      }
-      if (pipeline.prune) {
-        // The re-query path never materializes M, and the bound estimates
-        // read it; score bits are identical either way, so degrade to the
-        // full (unpruned) evaluation rather than failing the run.
-        LOFKIT_LOG(Warning)
-            << "prune-first ranking requires the materialized path; the "
-               "memory budget forced re-query mode, so every point gets the "
-               "full LOF evaluation";
-      }
-      LOFKIT_ASSIGN_OR_RETURN(
-          LofSweepResult sweep,
-          RunRequery(data, *index, min_pts_lb, min_pts_ub, aggregation,
-                     threads, pipeline.observer, pipeline.stop));
-      return RankDescending(sweep.aggregated, top_n);
-    }
+          pipeline.memory_budget_bytes, pipeline.spill_directory,
+          pipeline.observer, pipeline.stop));
+  if (pipeline.spilled_to_disk != nullptr) {
+    *pipeline.spilled_to_disk =
+        built.rung == internal_lof::BudgetRung::kSpilled;
   }
-  if (!m.has_value()) {
-    auto m_or = NeighborhoodMaterializer::MaterializeParallel(
-        data, *index, min_pts_ub, threads, /*distinct_neighbors=*/false,
-        pipeline.observer, pipeline.stop);
-    if (!m_or.ok()) return m_or.status();
-    m.emplace(std::move(m_or).value());
+  if (pipeline.degraded_to_requery != nullptr) {
+    *pipeline.degraded_to_requery =
+        built.rung == internal_lof::BudgetRung::kRequery;
   }
-  if (pipeline.prune) {
+  if (pipeline.prune && built.m) {
     PruneOptions prune;
     prune.top_n = top_n;
-    prune.partition = pipeline.prune_partition;
-    if (!pipeline.prune_partition.empty()) {
-      prune.data = &data;
-      prune.metric = &metric;
-    }
     LOFKIT_ASSIGN_OR_RETURN(
         LofSweepResult sweep,
-        RunPruned(*m, min_pts_lb, min_pts_ub, prune, aggregation, threads,
-                  pipeline.observer, pipeline.stop));
+        RunPruned(*built.m, min_pts_lb, min_pts_ub, prune, aggregation,
+                  threads, pipeline.observer, pipeline.stop));
     if (pipeline.prune_summary != nullptr) {
       *pipeline.prune_summary = sweep.prune;
     }
     return RankDescending(sweep.aggregated, top_n);
   }
+  if (pipeline.prune) {
+    // The re-query rung never materializes M, and the bound estimates read
+    // it; score bits are identical either way, so degrade to the full
+    // (unpruned) evaluation rather than failing the run.
+    LOFKIT_LOG(Warning)
+        << "prune-first ranking requires the materialized path; the "
+           "memory budget forced re-query mode, so every point gets the "
+           "full LOF evaluation";
+  }
   LOFKIT_ASSIGN_OR_RETURN(
-      LofSweepResult sweep,
-      Run(*m, min_pts_lb, min_pts_ub, aggregation,
-          /*keep_per_min_pts=*/false, threads, pipeline.observer,
-          pipeline.stop));
+      DensitySubstrate substrate,
+      built.m ? DensitySubstrate::OverMaterialization(*built.m)
+              : DensitySubstrate::OverIndex(data, *index));
+  const std::unique_ptr<LocalScorer> scorer = CreateScorer(ScorerKind::kLof);
+  LocalScorerOptions options;
+  options.threads = threads;
+  options.observer = pipeline.observer;
+  options.stop = pipeline.stop;
+  LOFKIT_ASSIGN_OR_RETURN(
+      ScorerSweepResult sweep,
+      ScorerSweep::Run(substrate, *scorer, min_pts_lb, min_pts_ub,
+                       aggregation, /*keep_per_min_pts=*/false, options));
   return RankDescending(sweep.aggregated, top_n);
 }
 

@@ -20,8 +20,8 @@ struct LofSweepResult {
   /// this result).
   struct PruneSummary {
     /// True when the §5 bound-based pruning stage actually ran. False from
-    /// Run/RunRequery, and from RankOutliers when a memory budget degraded
-    /// the pipeline to the re-query path (which has no bound stage).
+    /// Run, and from RankOutliers when a memory budget degraded the
+    /// pipeline to the re-query path (which has no bound stage).
     bool applied = false;
     size_t total_points = 0;
 
@@ -36,10 +36,6 @@ struct LofSweepResult {
     /// steps: full = survivors * steps, pruned = (total - survivors) * steps.
     size_t full_evaluations = 0;
     size_t pruned_evaluations = 0;
-
-    /// Bounds tightened by Lemma-1 cluster certificates (0 when no
-    /// partition/dataset was supplied), summed over steps.
-    size_t lemma1_tightened = 0;
 
     double survivor_fraction() const {
       return total_points == 0
@@ -77,9 +73,10 @@ struct LofPipelineOptions {
   StopToken stop;
 
   /// Memory budget for M in bytes (0 = unlimited); a projected overflow
-  /// walks the degradation ladder — spill M to disk and keep going (when
-  /// `spill_directory` is set), else degrade the sweep to RunRequery —
-  /// instead of failing. Every rung ranks bit-identically.
+  /// walks the degradation ladder (internal_lof::MaterializeWithinBudget)
+  /// — spill M to disk and keep going (when `spill_directory` is set),
+  /// else sweep over the re-query substrate — instead of failing. Every
+  /// rung ranks bit-identically.
   size_t memory_budget_bytes = 0;
 
   /// Directory for the ladder's spill rung (empty = spilling disabled):
@@ -105,11 +102,6 @@ struct LofPipelineOptions {
   /// budget degrades to the re-query path, which has no materialization to
   /// compute bounds from.
   bool prune = false;
-
-  /// Optional partition for the pruning stage: group ids (>= 0, one per
-  /// point) switch the bound estimates from Theorem 1 to the tighter
-  /// partition-aware Theorem 2 and enable Lemma-1 cluster certificates.
-  std::span<const int> prune_partition;
 
   /// When non-null, receives what the pruning stage did.
   LofSweepResult::PruneSummary* prune_summary = nullptr;
@@ -154,19 +146,9 @@ class LofSweep {
     /// >= 1: pruning is only sound against a concrete top-N threshold.
     size_t top_n = 0;
 
-    /// Optional group ids (>= 0, one per point): Theorem-2 bounds instead
-    /// of Theorem 1, and — together with `data`/`metric` — Lemma-1
-    /// certificates for deep cluster members.
+    /// Optional group ids (>= 0, one per point): per-step Theorem-2 bounds
+    /// instead of the Theorem-1 range bounds.
     std::span<const int> partition;
-
-    /// When both are non-null and `partition` is non-empty, each step's
-    /// bounds are tightened with Lemma-1 cluster certificates before the
-    /// pruning decision.
-    const Dataset* data = nullptr;
-    const Metric* metric = nullptr;
-
-    /// Clusters larger than this skip the O(|C|^2) Lemma-1 epsilon.
-    size_t lemma1_max_cluster_size = 512;
 
     /// Width of the MinPts blocks the unpartitioned bound stage covers
     /// with one LofPruner::ComputeRangeBounds call each (clamped to >= 1).
@@ -176,16 +158,15 @@ class LofSweep {
     /// 5 keeps the spread (~(hi/lo)^(1/d) per block in d dimensions) small
     /// enough to prune aggressively at ~1/5 of the per-step bound cost.
     /// Ignored on the partition path, which needs per-step bounds anyway
-    /// (Theorem 2's cardinality weights and Lemma 1's epsilon are
-    /// per-MinPts quantities).
+    /// (Theorem 2's cardinality weights are per-MinPts quantities).
     size_t bounds_block_width = 5;
   };
 
   /// The paper's §5 / Fig. 11 prune-first top-N sweep: bound estimates
   /// (LofPruner) are aggregated across the MinPts range with the same
   /// element-wise operation as the scores — block-wise range bounds on the
-  /// unpartitioned path, per-step Theorem-2/Lemma-1 bounds with a
-  /// partition — the top_n-th largest
+  /// unpartitioned path, per-step Theorem-2 bounds with a partition — the
+  /// top_n-th largest
   /// aggregated lower bound becomes the discard threshold, and only the
   /// surviving points get the full LOF evaluation
   /// (LofComputer::ComputeForCandidates). Survivor slots of `aggregated`
@@ -200,26 +181,13 @@ class LofSweep {
       LofAggregation aggregation = LofAggregation::kMax, size_t threads = 1,
       const PipelineObserver& observer = {}, const StopToken& stop = {});
 
-  /// Bounded-memory sweep: no materialization database — every MinPts step
-  /// runs LofComputer::ComputeRequery against the prebuilt `index`,
-  /// sequentially in ascending MinPts order (`threads` goes into each
-  /// step's scans instead of across steps), so peak memory stays at a few
-  /// n-sized arrays regardless of the range width. Aggregation order — and
-  /// therefore every aggregated bit — matches Run over a materialized M.
-  /// keep_per_min_pts is deliberately absent: retaining every step's scores
-  /// would defeat the bounded-memory point.
-  static Result<LofSweepResult> RunRequery(
-      const Dataset& data, const KnnIndex& index, size_t min_pts_lb,
-      size_t min_pts_ub, LofAggregation aggregation = LofAggregation::kMax,
-      size_t threads = 1, const PipelineObserver& observer = {},
-      const StopToken& stop = {});
-
-  /// Convenience single-call pipeline: index, materialize at min_pts_ub,
+  /// Convenience single-call pipeline: index, materialize at min_pts_ub
+  /// within the memory budget (internal_lof::MaterializeWithinBudget),
   /// sweep, and return the ranking of the `top_n` strongest outliers
   /// (top_n == 0 ranks everything). `threads` drives both the
   /// materialization queries and the sweep, with the same determinism
-  /// guarantee as Run — including across the budget-degraded re-query
-  /// route, which returns identical ranking bits.
+  /// guarantee as Run — including across the spill and re-query rungs,
+  /// which return identical ranking bits.
   static Result<std::vector<RankedOutlier>> RankOutliers(
       const Dataset& data, const Metric& metric, size_t min_pts_lb,
       size_t min_pts_ub, size_t top_n = 0,

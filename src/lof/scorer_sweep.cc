@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/logging.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
+#include "lof/spill.h"
 
 namespace lofkit {
 
@@ -170,37 +170,25 @@ Result<std::vector<RankedOutlier>> ScorerSweep::RankOutliers(
     return Status::Internal("index factory returned null");
   }
   LOFKIT_RETURN_IF_ERROR(index->Build(data, metric));
-  if (pipeline.degraded_to_requery != nullptr) {
-    *pipeline.degraded_to_requery = false;
-  }
-  const size_t budget = pipeline.memory_budget_bytes;
-  if (budget != 0 && NeighborhoodMaterializer::ProjectedBytes(
-                         data.size(), min_pts_ub) > budget) {
-    LOFKIT_LOG(Warning)
-        << "projected materialization ("
-        << NeighborhoodMaterializer::ProjectedBytes(data.size(), min_pts_ub)
-        << " bytes) exceeds the memory budget (" << budget
-        << " bytes); degrading the sweep to the re-query path";
-    if (pipeline.degraded_to_requery != nullptr) {
-      *pipeline.degraded_to_requery = true;
-    }
-    LOFKIT_ASSIGN_OR_RETURN(DensitySubstrate substrate,
-                            DensitySubstrate::OverIndex(data, *index,
-                                                        &metric));
-    LOFKIT_ASSIGN_OR_RETURN(
-        ScorerSweepResult sweep,
-        Run(substrate, scorer, min_pts_lb, min_pts_ub, aggregation,
-            /*keep_per_min_pts=*/false, options));
-    return RankDescending(sweep.aggregated, top_n);
-  }
   LOFKIT_ASSIGN_OR_RETURN(
-      NeighborhoodMaterializer m,
-      NeighborhoodMaterializer::MaterializeParallel(
+      internal_lof::BudgetedMaterialization built,
+      internal_lof::MaterializeWithinBudget(
           data, *index, min_pts_ub, options.threads,
-          /*distinct_neighbors=*/false, options.observer, options.stop));
+          /*distinct_neighbors=*/false, pipeline.memory_budget_bytes,
+          pipeline.spill_directory, options.observer, options.stop));
+  if (pipeline.spilled_to_disk != nullptr) {
+    *pipeline.spilled_to_disk =
+        built.rung == internal_lof::BudgetRung::kSpilled;
+  }
+  if (pipeline.degraded_to_requery != nullptr) {
+    *pipeline.degraded_to_requery =
+        built.rung == internal_lof::BudgetRung::kRequery;
+  }
   LOFKIT_ASSIGN_OR_RETURN(
       DensitySubstrate substrate,
-      DensitySubstrate::OverMaterialization(m, &data, &metric));
+      built.m ? DensitySubstrate::OverMaterialization(*built.m, &data,
+                                                      &metric)
+              : DensitySubstrate::OverIndex(data, *index, &metric));
   LOFKIT_ASSIGN_OR_RETURN(
       ScorerSweepResult sweep,
       Run(substrate, scorer, min_pts_lb, min_pts_ub, aggregation,

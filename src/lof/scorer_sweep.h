@@ -1,6 +1,7 @@
 #ifndef LOFKIT_LOF_SCORER_SWEEP_H_
 #define LOFKIT_LOF_SCORER_SWEEP_H_
 
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -50,11 +51,23 @@ struct ScorerSweepResult {
 /// (The scorer dials and observability hooks ride in LocalScorerOptions.)
 struct ScorerPipelineOptions {
   /// Memory budget for M in bytes (0 = unlimited); a projected overflow
-  /// degrades the sweep to the re-query substrate instead of failing.
+  /// walks the degradation ladder (internal_lof::MaterializeWithinBudget)
+  /// — spill M to disk and keep going (when `spill_directory` is set),
+  /// else sweep over the re-query substrate — instead of failing. Every
+  /// rung ranks bit-identically.
   size_t memory_budget_bytes = 0;
+
+  /// Directory for the ladder's spill rung (empty = spilling disabled): on
+  /// a projected overflow M is streamed into a temporary container file
+  /// here and served zero-copy via mmap. A failed spill falls through to
+  /// re-query (cancellation/deadline trips propagate).
+  std::string spill_directory;
 
   /// When non-null, set to whether the budget forced the re-query route.
   bool* degraded_to_requery = nullptr;
+
+  /// When non-null, set to whether the budget spilled M to disk.
+  bool* spilled_to_disk = nullptr;
 
   /// Construction options for the approximate engines, forwarded when
   /// index_kind names one (kRkdForest); exact engines ignore them.
@@ -63,8 +76,8 @@ struct ScorerPipelineOptions {
 
 /// The section-6.2 MinPts-range heuristic, generalized to any LocalScorer:
 /// scores every MinPts in [MinPtsLB, MinPtsUB] over one shared substrate
-/// and aggregates per point. LofSweep::Run/RunRequery are now thin
-/// adapters over this class with the LOF scorer.
+/// and aggregates per point. LofSweep::Run is a thin adapter over this
+/// class with the LOF scorer.
 class ScorerSweep {
  public:
   /// Requires 1 <= min_pts_lb <= min_pts_ub <= substrate.k_max(). On a
@@ -86,8 +99,10 @@ class ScorerSweep {
                                        const LocalScorerOptions& options = {});
 
   /// Convenience single-call pipeline for any scorer: build the index,
-  /// materialize at min_pts_ub (or degrade to the re-query substrate under
-  /// a memory budget), sweep, and return the ranking of the `top_n`
+  /// materialize at min_pts_ub within the memory budget (in RAM, spilled,
+  /// or not at all on the re-query substrate; see
+  /// internal_lof::MaterializeWithinBudget), sweep, and return the ranking
+  /// of the `top_n`
   /// strongest outliers (top_n == 0 ranks everything). The substrate is
   /// always constructed with the dataset and metric, so coordinate-reading
   /// scorers (LDOF, the DB baseline) work too.

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace lofkit::internal_lof {
 
@@ -39,6 +40,61 @@ Result<NeighborhoodMaterializer> SpillMaterialize(
                    << m_or->total_neighbor_count()
                    << " neighbor entries, served via mmap)";
   return std::move(m_or).value();
+}
+
+Result<BudgetedMaterialization> MaterializeWithinBudget(
+    const Dataset& data, const KnnIndex& index, size_t k_max, size_t threads,
+    bool distinct_neighbors, size_t memory_budget_bytes,
+    const std::string& spill_directory, const PipelineObserver& observer,
+    const StopToken& stop) {
+  BudgetedMaterialization built;
+  const size_t projected =
+      NeighborhoodMaterializer::ProjectedBytes(data.size(), k_max);
+  if (memory_budget_bytes == 0 || projected <= memory_budget_bytes) {
+    LOFKIT_ASSIGN_OR_RETURN(
+        NeighborhoodMaterializer m,
+        NeighborhoodMaterializer::MaterializeParallel(
+            data, index, k_max, threads, distinct_neighbors, observer,
+            stop));
+    built.m.emplace(std::move(m));
+    return built;
+  }
+  std::string requery_reason =
+      StrFormat("projected materialization (%zu bytes) exceeds the memory "
+                "budget (%zu bytes)",
+                projected, memory_budget_bytes);
+  if (!spill_directory.empty()) {
+    LOFKIT_LOG(Warning) << requery_reason << "; spilling to disk under '"
+                        << spill_directory << "'";
+    auto spilled =
+        SpillMaterialize(data, index, k_max, threads, distinct_neighbors,
+                         spill_directory, observer, stop);
+    if (spilled.ok()) {
+      built.rung = BudgetRung::kSpilled;
+      built.m.emplace(std::move(spilled).value());
+      return built;
+    }
+    const StatusCode code = spilled.status().code();
+    if (code == StatusCode::kCancelled ||
+        code == StatusCode::kDeadlineExceeded || distinct_neighbors) {
+      // A tripped token is the caller's decision, not a disk problem; and
+      // distinct mode has no re-query rung to fall through to.
+      return spilled.status();
+    }
+    requery_reason =
+        "spill to disk failed (" + spilled.status().ToString() + ")";
+  }
+  if (distinct_neighbors) {
+    return Status::ResourceExhausted(StrFormat(
+        "materializing %zu points at k_max=%zu exceeds the %zu-byte memory "
+        "budget, and distinct-neighbors mode has no re-query fallback; "
+        "raise the budget or set a spill directory",
+        data.size(), k_max, memory_budget_bytes));
+  }
+  LOFKIT_LOG(Warning) << requery_reason
+                      << "; degrading to the re-query path";
+  built.rung = BudgetRung::kRequery;
+  return built;
 }
 
 }  // namespace lofkit::internal_lof

@@ -3,6 +3,8 @@
 // and the kNN-distance / DB baselines — plus the generic ScorerSweep.
 
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -317,11 +319,18 @@ TEST_F(LocalScorerTest, ScorerSweepValidatesTheRange) {
 }
 
 TEST_F(LocalScorerTest, RankOutliersWorksForEveryScorerWithBudgets) {
+  // A private spill directory, so "nothing left behind" is an exact census.
+  const std::filesystem::path spill_dir =
+      std::filesystem::path(::testing::TempDir()) / "lofkit_scorer_spill";
+  std::filesystem::remove_all(spill_dir);
+  ASSERT_TRUE(std::filesystem::create_directory(spill_dir));
   for (ScorerKind kind : AllScorerKinds()) {
     std::unique_ptr<LocalScorer> scorer = CreateScorer(kind);
     ScorerPipelineOptions pipeline;
     bool degraded = false;
+    bool spilled = false;
     pipeline.degraded_to_requery = &degraded;
+    pipeline.spilled_to_disk = &spilled;
     auto full = ScorerSweep::RankOutliers(*data_, Euclidean(), *scorer, 8,
                                           12, 5, IndexKind::kLinearScan,
                                           LofAggregation::kMax, {},
@@ -340,7 +349,26 @@ TEST_F(LocalScorerTest, RankOutliersWorksForEveryScorerWithBudgets) {
       EXPECT_EQ((*tight)[i].index, (*full)[i].index) << ScorerKindName(kind);
       EXPECT_EQ((*tight)[i].score, (*full)[i].score) << ScorerKindName(kind);
     }
+    // The same budget with a spill directory takes the spill rung instead.
+    pipeline.spill_directory = spill_dir.string();
+    auto spill = ScorerSweep::RankOutliers(*data_, Euclidean(), *scorer, 8,
+                                           12, 5, IndexKind::kLinearScan,
+                                           LofAggregation::kMax, {},
+                                           pipeline);
+    ASSERT_TRUE(spill.ok()) << ScorerKindName(kind) << ": " << spill.status();
+    EXPECT_TRUE(spilled) << ScorerKindName(kind);
+    EXPECT_FALSE(degraded) << ScorerKindName(kind);
+    ASSERT_EQ(spill->size(), full->size()) << ScorerKindName(kind);
+    for (size_t i = 0; i < full->size(); ++i) {
+      EXPECT_EQ((*spill)[i].index, (*full)[i].index) << ScorerKindName(kind);
+      const double a = (*spill)[i].score;
+      const double b = (*full)[i].score;
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+          << ScorerKindName(kind) << " rank " << i;
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(spill_dir)) << ScorerKindName(kind);
   }
+  std::filesystem::remove(spill_dir);
 }
 
 }  // namespace

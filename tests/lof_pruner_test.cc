@@ -420,13 +420,8 @@ TEST(RunPrunedTest, RunPrunedPartitionPathPreservesTheTopN) {
   LofSweep::PruneOptions prune;
   prune.top_n = top_n;
   prune.partition = partition;
-  prune.data = &pipeline->data;
-  prune.metric = &Euclidean();
   auto pruned = LofSweep::RunPruned(*pipeline->m, lb, ub, prune);
   ASSERT_TRUE(pruned.ok()) << pruned.status().message();
-  // Per-point theorem bounds dominate the lemma certificates (see
-  // Lemma1CertificatesStayValidAndNeverLoosen), so nothing tightens.
-  EXPECT_EQ(pruned->prune.lemma1_tightened, 0u);
   const auto pruned_rank = RankDescending(pruned->aggregated, top_n);
   ASSERT_EQ(pruned_rank.size(), full_rank.size());
   for (size_t r = 0; r < full_rank.size(); ++r) {

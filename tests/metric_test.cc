@@ -134,10 +134,22 @@ TEST(MetricTest, LinearScanLofWorksUnderAngularMetric) {
 // Property sweep: metric axioms and box-bound correctness, for each metric.
 // ---------------------------------------------------------------------------
 
-class MetricPropertyTest : public ::testing::TestWithParam<const Metric*> {};
+// A metric under test with a short norm label. gtest prints the label
+// after the listed test name; printing the bare pointer put the metric's
+// address there, so each build registered the tests under new names.
+struct MetricCase {
+  const char* norm;
+  const Metric* metric;
+
+  friend void PrintTo(const MetricCase& c, std::ostream* os) {
+    *os << c.norm;
+  }
+};
+
+class MetricPropertyTest : public ::testing::TestWithParam<MetricCase> {};
 
 TEST_P(MetricPropertyTest, AxiomsHoldOnRandomPoints) {
-  const Metric& metric = *GetParam();
+  const Metric& metric = *GetParam().metric;
   Rng rng(42);
   const size_t dim = 3;  // the weighted metric instance is 3-dimensional
   std::vector<double> a(dim), b(dim), c(dim);
@@ -159,7 +171,7 @@ TEST_P(MetricPropertyTest, AxiomsHoldOnRandomPoints) {
 }
 
 TEST_P(MetricPropertyTest, BoxBoundsEncloseSampledDistances) {
-  const Metric& metric = *GetParam();
+  const Metric& metric = *GetParam().metric;
   Rng rng(77);
   const size_t dim = 3;
   std::vector<double> q(dim), lo(dim), hi(dim), p(dim);
@@ -184,7 +196,7 @@ TEST_P(MetricPropertyTest, BoxBoundsEncloseSampledDistances) {
 }
 
 TEST_P(MetricPropertyTest, CoordinateDistanceIsLowerBound) {
-  const Metric& metric = *GetParam();
+  const Metric& metric = *GetParam().metric;
   Rng rng(99);
   const size_t dim = 3;
   std::vector<double> a(dim), b(dim);
@@ -211,14 +223,17 @@ const Metric* MakeMinkowski3() {
   return metric;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMetrics, MetricPropertyTest,
-                         ::testing::Values(&Euclidean(), &Manhattan(),
-                                           &Chebyshev(), MakeWeighted(),
-                                           MakeMinkowski3()),
-                         [](const auto& info) {
-                           return std::string(info.param->name()) +
-                                  (info.param == MakeMinkowski3() ? "3" : "");
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllMetrics, MetricPropertyTest,
+    ::testing::Values(MetricCase{"L2", &Euclidean()},
+                      MetricCase{"L1", &Manhattan()},
+                      MetricCase{"Linf", &Chebyshev()},
+                      MetricCase{"wL2", MakeWeighted()},
+                      MetricCase{"L3", MakeMinkowski3()}),
+    [](const auto& info) {
+      return std::string(info.param.metric->name()) +
+             (info.param.metric == MakeMinkowski3() ? "3" : "");
+    });
 
 }  // namespace
 }  // namespace lofkit

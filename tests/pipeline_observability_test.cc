@@ -17,6 +17,7 @@
 #include "dataset/metric.h"
 #include "index/linear_scan_index.h"
 #include "lof/lof_sweep.h"
+#include "requery_route.h"
 
 namespace lofkit {
 namespace {
@@ -27,6 +28,8 @@ Dataset MakeData(size_t n) {
   EXPECT_TRUE(ds.ok());
   return std::move(ds).value();
 }
+
+using testing_requery::RequerySweep;
 
 // Span names matching `prefix`, sorted (the trace interleaving is
 // thread-dependent; the name set is not).
@@ -73,10 +76,8 @@ TEST(PipelineObservabilityTest, SweepStepSpanNamesMatchAcrossRoutes) {
   {
     PipelineObserver observer;
     observer.trace = &requery_trace;
-    ASSERT_TRUE(LofSweep::RunRequery(data, index, kLb, kUb,
-                                     LofAggregation::kMax, /*threads=*/2,
-                                     observer)
-                    .ok());
+    ASSERT_TRUE(
+        RequerySweep(data, index, kLb, kUb, /*threads=*/2, observer).ok());
   }
 
   const auto materialized = SpanNames(materialized_trace, "sweep.min_pts_");
@@ -117,10 +118,8 @@ TEST(PipelineObservabilityTest, FlightRecorderCapturesBothSites) {
     PipelineObserver observer;
     observer.query_stats = &stats;
     observer.flight = &flight;
-    ASSERT_TRUE(LofSweep::RunRequery(data, index, kLb, kUb,
-                                     LofAggregation::kMax, /*threads=*/2,
-                                     observer)
-                    .ok());
+    ASSERT_TRUE(
+        RequerySweep(data, index, kLb, kUb, /*threads=*/2, observer).ok());
     const auto report = flight.Merge();
     ASSERT_EQ(report.sites.size(), 1u);
     EXPECT_EQ(report.sites[0].site, QueryFlightRecorder::Site::kSweep);
@@ -189,9 +188,7 @@ TEST(PipelineObservabilityTest, ArmedObserverNeverChangesScoreBits) {
           << "threads=" << threads << " point " << i;
     }
 
-    auto requery = LofSweep::RunRequery(data, index, kLb, kUb,
-                                        LofAggregation::kMax, threads,
-                                        observer);
+    auto requery = RequerySweep(data, index, kLb, kUb, threads, observer);
     ASSERT_TRUE(requery.ok());
     for (size_t i = 0; i < baseline->aggregated.size(); ++i) {
       EXPECT_EQ(requery->aggregated[i], baseline->aggregated[i])

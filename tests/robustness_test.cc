@@ -25,6 +25,7 @@
 #include "index/va_file_index.h"
 #include "lof/lof_sweep.h"
 #include "lof/spill.h"
+#include "requery_route.h"
 
 namespace lofkit {
 namespace {
@@ -291,6 +292,8 @@ TEST_F(RobustnessTest, FarDeadlineChangesNothing) {
 // Budgeted graceful degradation: re-query path equivalence.
 // ---------------------------------------------------------------------------
 
+using testing_requery::ComputeRequeried;
+
 TEST_F(RobustnessTest, RequeryMatchesMaterializedBitForBit) {
   const Dataset data = MakeClusteredData(150);
   LinearScanIndex index;
@@ -303,8 +306,7 @@ TEST_F(RobustnessTest, RequeryMatchesMaterializedBitForBit) {
       LofComputeOptions options;
       options.threads = threads;
       auto materialized = LofComputer::Compute(*m, min_pts, options);
-      auto requeried =
-          LofComputer::ComputeRequery(data, index, min_pts, options);
+      auto requeried = ComputeRequeried(data, index, min_pts, options);
       ASSERT_TRUE(materialized.ok());
       ASSERT_TRUE(requeried.ok());
       EXPECT_EQ(materialized->lof, requeried->lof);
@@ -379,26 +381,14 @@ TEST_F(RobustnessTest, DistinctModeUnderBudgetIsResourceExhausted) {
   EXPECT_EQ(scores.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST_F(RobustnessTest, MaterializerBudgetRefusalIsResourceExhausted) {
-  const Dataset data = MakeClusteredData(64);
-  LinearScanIndex index;
-  ASSERT_TRUE(index.Build(data, Euclidean()).ok());
-  auto m = NeighborhoodMaterializer::Materialize(
-      data, index, 5, false, PipelineObserver{}, StopToken{},
-      /*memory_budget_bytes=*/64);
-  ASSERT_FALSE(m.ok());
-  EXPECT_EQ(m.status().code(), StatusCode::kResourceExhausted);
-}
-
 TEST_F(RobustnessTest, RequeryRejectsDegenerateArguments) {
   const Dataset data = MakeClusteredData(16);
   LinearScanIndex index;
   ASSERT_TRUE(index.Build(data, Euclidean()).ok());
-  EXPECT_EQ(LofComputer::ComputeRequery(data, index, 0).status().code(),
+  EXPECT_EQ(ComputeRequeried(data, index, 0).status().code(),
             StatusCode::kOutOfRange);
-  EXPECT_EQ(
-      LofComputer::ComputeRequery(data, index, data.size()).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(ComputeRequeried(data, index, data.size()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

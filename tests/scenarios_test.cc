@@ -164,15 +164,26 @@ TEST(ScenariosTest, Histograms64AreNormalizedAndNamed) {
 
 using ScenarioFactory = Result<Scenario> (*)(Rng&);
 
-class ScenarioDeterminismTest
-    : public ::testing::TestWithParam<std::pair<const char*, ScenarioFactory>> {
+// A scenario factory under its name. gtest prints the name after the
+// listed test name; printing a pair of pointers put their addresses
+// there, so each build registered the tests under new names.
+struct ScenarioCase {
+  const char* name;
+  ScenarioFactory make;
+
+  friend void PrintTo(const ScenarioCase& c, std::ostream* os) {
+    *os << c.name;
+  }
+};
+
+class ScenarioDeterminismTest : public ::testing::TestWithParam<ScenarioCase> {
 };
 
 TEST_P(ScenarioDeterminismTest, SameSeedSameBytes) {
   Rng rng1(10);
   Rng rng2(10);
-  auto a = GetParam().second(rng1);
-  auto b = GetParam().second(rng2);
+  auto a = GetParam().make(rng1);
+  auto b = GetParam().make(rng2);
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_EQ(a->data.size(), b->data.size());
   ASSERT_EQ(a->data.dimension(), b->data.dimension());
@@ -193,15 +204,15 @@ Result<Scenario> MakeBlobAdapter(Rng& rng) {
 INSTANTIATE_TEST_SUITE_P(
     AllScenarios, ScenarioDeterminismTest,
     ::testing::Values(
-        std::make_pair("ds1", &scenarios::MakeDs1),
-        std::make_pair("blob", &MakeBlobAdapter),
-        std::make_pair("fig8", &scenarios::MakeFig8Clusters),
-        std::make_pair("fig9", &scenarios::MakeFig9Dataset),
-        std::make_pair("hockey1", &scenarios::MakeHockeySubspace1),
-        std::make_pair("hockey2", &scenarios::MakeHockeySubspace2),
-        std::make_pair("soccer", &scenarios::MakeSoccerLike),
-        std::make_pair("hist64", &scenarios::Make64DHistograms)),
-    [](const auto& info) { return std::string(info.param.first); });
+        ScenarioCase{"ds1", &scenarios::MakeDs1},
+        ScenarioCase{"blob", &MakeBlobAdapter},
+        ScenarioCase{"fig8", &scenarios::MakeFig8Clusters},
+        ScenarioCase{"fig9", &scenarios::MakeFig9Dataset},
+        ScenarioCase{"hockey1", &scenarios::MakeHockeySubspace1},
+        ScenarioCase{"hockey2", &scenarios::MakeHockeySubspace2},
+        ScenarioCase{"soccer", &scenarios::MakeSoccerLike},
+        ScenarioCase{"hist64", &scenarios::Make64DHistograms}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace lofkit

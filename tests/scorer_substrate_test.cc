@@ -16,6 +16,7 @@
 #include "lof/density_substrate.h"
 #include "lof/lof_computer.h"
 #include "lof/lof_sweep.h"
+#include "requery_route.h"
 
 namespace lofkit {
 namespace {
@@ -36,6 +37,9 @@ Dataset MakeTieHeavyDataset() {
   EXPECT_TRUE(generators::AppendPoint(*ds, planted, "planted").ok());
   return std::move(ds).value();
 }
+
+using testing_requery::ComputeRequeried;
+using testing_requery::RequerySweep;
 
 // Independent naive LOF: full pairwise distances, the Definition-4
 // k-distance neighborhood (ties included, (distance, index) order), and
@@ -117,8 +121,7 @@ TEST_F(ScorerSubstrateTest, RoutesAndThreadCountsBitIdentical) {
     LofComputeOptions options;
     options.threads = threads;
     auto materialized = LofComputer::Compute(*m_, min_pts, options);
-    auto requery =
-        LofComputer::ComputeRequery(*data_, index_, min_pts, options);
+    auto requery = ComputeRequeried(*data_, index_, min_pts, options);
     ASSERT_TRUE(materialized.ok());
     ASSERT_TRUE(requery.ok());
     for (size_t i = 0; i < data_->size(); ++i) {
@@ -215,8 +218,7 @@ TEST_F(ScorerSubstrateTest, SweepRoutesAndThreadCountsBitIdentical) {
   for (size_t threads : {size_t{2}, size_t{7}}) {
     auto sweep = LofSweep::Run(*m_, 5, 12, LofAggregation::kMax,
                                /*keep_per_min_pts=*/false, threads);
-    auto requery = LofSweep::RunRequery(*data_, index_, 5, 12,
-                                        LofAggregation::kMax, threads);
+    auto requery = RequerySweep(*data_, index_, 5, 12, threads);
     ASSERT_TRUE(sweep.ok());
     ASSERT_TRUE(requery.ok());
     EXPECT_FALSE(sweep->degraded_to_requery);
@@ -259,8 +261,7 @@ TEST_F(ScorerSubstrateTest, RequeryStatsFoldDeterministically) {
     LofComputeOptions options;
     options.threads = threads;
     options.observer.query_stats = &stats;
-    auto scores =
-        LofComputer::ComputeRequery(*data_, index_, 9, options);
+    auto scores = ComputeRequeried(*data_, index_, 9, options);
     ASSERT_TRUE(scores.ok());
     // Three scans (k-distance, lrd, lof), one query per point each.
     EXPECT_EQ(stats.queries, 3 * n) << "threads=" << threads;

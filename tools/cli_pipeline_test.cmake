@@ -77,7 +77,8 @@ endif()
 
 # Spill smoke: on a dataset whose projected M overflows a 1 MiB budget,
 # --spill-dir must keep the exact in-RAM ranking (mmap-served M) instead
-# of degrading to re-query. 5000 points at MinPtsUB 30 project to ~2.4 MB.
+# of degrading to re-query, for every scorer. 5000 points at MinPtsUB 30
+# project to ~2.4 MB.
 execute_process(
   COMMAND ${DATAGEN} --scenario gaussians --points 5000 --dim 3
           --output ${WORKDIR}/spill_smoke.csv
@@ -85,34 +86,37 @@ execute_process(
 if(NOT spill_datagen_result EQUAL 0)
   message(FATAL_ERROR "datagen failed: ${spill_datagen_result}")
 endif()
-execute_process(
-  COMMAND ${CLI} --input ${WORKDIR}/spill_smoke.csv --has-header
-          --minpts-lb 10 --minpts-ub 30 --top 5
-  OUTPUT_VARIABLE spill_base_output
-  RESULT_VARIABLE spill_base_result)
-if(NOT spill_base_result EQUAL 0)
-  message(FATAL_ERROR "cli base run failed: ${spill_base_result}")
-endif()
-execute_process(
-  COMMAND ${CLI} --input ${WORKDIR}/spill_smoke.csv --has-header
-          --minpts-lb 10 --minpts-ub 30 --top 5
-          --memory-budget-mb 1 --spill-dir ${WORKDIR}
-  OUTPUT_VARIABLE spill_output
-  ERROR_VARIABLE spill_stderr
-  RESULT_VARIABLE spill_result)
-if(NOT spill_result EQUAL 0)
-  message(FATAL_ERROR "cli --spill-dir run failed: ${spill_result}\n"
-          "${spill_stderr}")
-endif()
-string(FIND "${spill_stderr}" "spilling to disk" found_spill)
-if(found_spill EQUAL -1)
-  message(FATAL_ERROR "budgeted run did not take the spill rung:\n"
-          "${spill_stderr}")
-endif()
-if(NOT spill_base_output STREQUAL spill_output)
-  message(FATAL_ERROR "spill-rung ranking differs:\nin-RAM:\n"
-          "${spill_base_output}\nspilled:\n${spill_output}")
-endif()
+foreach(scorer lof ldof kde knn_distance db_outlier)
+  execute_process(
+    COMMAND ${CLI} --input ${WORKDIR}/spill_smoke.csv --has-header
+            --minpts-lb 10 --minpts-ub 30 --top 5 --scorer ${scorer}
+    OUTPUT_VARIABLE spill_base_output
+    RESULT_VARIABLE spill_base_result)
+  if(NOT spill_base_result EQUAL 0)
+    message(FATAL_ERROR "cli --scorer ${scorer} base run failed: "
+            "${spill_base_result}")
+  endif()
+  execute_process(
+    COMMAND ${CLI} --input ${WORKDIR}/spill_smoke.csv --has-header
+            --minpts-lb 10 --minpts-ub 30 --top 5 --scorer ${scorer}
+            --memory-budget-mb 1 --spill-dir ${WORKDIR}
+    OUTPUT_VARIABLE spill_output
+    ERROR_VARIABLE spill_stderr
+    RESULT_VARIABLE spill_result)
+  if(NOT spill_result EQUAL 0)
+    message(FATAL_ERROR "cli --scorer ${scorer} --spill-dir run failed: "
+            "${spill_result}\n${spill_stderr}")
+  endif()
+  string(FIND "${spill_stderr}" "spilling to disk" found_spill)
+  if(found_spill EQUAL -1)
+    message(FATAL_ERROR "budgeted ${scorer} run did not take the spill "
+            "rung:\n${spill_stderr}")
+  endif()
+  if(NOT spill_base_output STREQUAL spill_output)
+    message(FATAL_ERROR "${scorer} spill-rung ranking differs:\nin-RAM:\n"
+            "${spill_base_output}\nspilled:\n${spill_output}")
+  endif()
+endforeach()
 
 file(REMOVE ${WORKDIR}/ds1_smoke.csv ${WORKDIR}/ds1_smoke.lofc
      ${WORKDIR}/ds1_torn.lofc ${WORKDIR}/spill_smoke.csv)

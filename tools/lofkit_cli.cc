@@ -299,9 +299,8 @@ int main(int argc, char** argv) {
         "--prune, use an exact engine, or set --ann-checks 0 --ann-eps 0"));
   }
 
-  // Scorer selection. LOF keeps its dedicated sweep entry points (which
-  // the prune-first path is specific to); every other scorer runs the
-  // generic ScorerSweep over the same substrate.
+  // Scorer selection. Every scorer sweeps through ScorerSweep over the
+  // same substrate; only --prune (LOF-specific) takes LofSweep::RunPruned.
   auto scorer_or = CreateScorerByName(flags.GetString("scorer"));
   if (!scorer_or.ok()) return Fail(scorer_or.status());
   const std::unique_ptr<LocalScorer>& scorer = *scorer_or;
@@ -328,13 +327,14 @@ int main(int argc, char** argv) {
     stop = stop_source->token();
   }
 
-  // Step 1: materialize (or reload, or — under a too-small budget — skip
-  // materialization entirely and run the sweep on the re-query path).
+  // Step 1: materialize (or reload) M. Under a memory budget the ladder
+  // may instead spill M to disk or skip it, leaving the sweep to re-query
+  // the index (internal_lof::MaterializeWithinBudget).
   Stopwatch watch;
-  std::unique_ptr<NeighborhoodMaterializer> m;
+  std::optional<NeighborhoodMaterializer> m;
   std::unique_ptr<KnnIndex> index;
-  bool degraded_to_requery = false;
-  bool spilled_to_disk = false;
+  internal_lof::BudgetRung rung = internal_lof::BudgetRung::kInRam;
+  double index_build_seconds = 0.0;
   const size_t projected_bytes =
       NeighborhoodMaterializer::ProjectedBytes(working->size(), ub);
   if (!flags.GetString("load-materialization").empty()) {
@@ -346,7 +346,7 @@ int main(int argc, char** argv) {
             : NeighborhoodMaterializer::LoadFromFile(
                   flags.GetString("load-materialization"), working);
     if (!loaded.ok()) return Fail(loaded.status());
-    m = std::make_unique<NeighborhoodMaterializer>(std::move(loaded).value());
+    m.emplace(std::move(loaded).value());
     span.End();
     std::fprintf(stderr, "%s materialization (k_max=%zu) in %.3fs\n",
                  map ? "mapped" : "reloaded", m->k_max(),
@@ -366,75 +366,31 @@ int main(int argc, char** argv) {
         return Fail(status);
       }
     }
-    if (memory_budget_bytes != 0 && projected_bytes > memory_budget_bytes) {
-      // The degradation ladder: spill M to disk and keep going when
-      // --spill-dir names a directory, else fall back to the re-query
-      // path. Both rungs produce bit-identical scores.
-      const std::string spill_dir = flags.GetString("spill-dir");
-      if (!spill_dir.empty()) {
-        progress.SetPhase("materialize");
-        progress.SetTotal(working->size());
-        std::fprintf(stderr,
-                     "projected neighborhood database (%zu bytes) exceeds "
-                     "the memory budget (%zu bytes); spilling to disk under "
-                     "'%s'\n",
-                     projected_bytes, memory_budget_bytes, spill_dir.c_str());
-        auto spilled = internal_lof::SpillMaterialize(
-            *working, *index, ub, threads, flags.GetBool("distinct"),
-            spill_dir, observer, stop);
-        if (spilled.ok()) {
-          spilled_to_disk = true;
-          m = std::make_unique<NeighborhoodMaterializer>(
-              std::move(spilled).value());
-          std::fprintf(stderr,
-                       "spilled %zu neighborhoods to disk (%s index, "
-                       "mmap-served) in %.3fs\n",
-                       m->size(), index->name().data(),
-                       watch.ElapsedSeconds());
-        } else if (spilled.status().code() == StatusCode::kCancelled ||
-                   spilled.status().code() ==
-                       StatusCode::kDeadlineExceeded ||
-                   flags.GetBool("distinct")) {
-          // Distinct mode has no re-query rung below this one.
-          return Fail(spilled.status());
-        } else {
-          std::fprintf(stderr,
-                       "spill to disk failed (%s); degrading to the "
-                       "re-query path\n",
-                       spilled.status().ToString().c_str());
-        }
-      }
-      if (m == nullptr) {
-        if (flags.GetBool("distinct")) {
-          return Fail(Status::ResourceExhausted(
-              "the neighborhood database exceeds --memory-budget-mb and "
-              "--distinct has no re-query fallback; raise the budget or "
-              "set --spill-dir"));
-        }
-        degraded_to_requery = true;
-        std::fprintf(stderr,
-                     "projected neighborhood database (%zu bytes) exceeds "
-                     "the memory budget (%zu bytes); degrading to the "
-                     "re-query path (same scores, more query work)\n",
-                     projected_bytes, memory_budget_bytes);
-      }
-    } else {
-      progress.SetPhase("materialize");
-      progress.SetTotal(working->size());
-      auto built = NeighborhoodMaterializer::MaterializeParallel(
-          *working, *index, ub, threads, flags.GetBool("distinct"), observer,
-          stop, memory_budget_bytes);
-      if (!built.ok()) return Fail(built.status());
-      m = std::make_unique<NeighborhoodMaterializer>(
-          std::move(built).value());
+    index_build_seconds = watch.ElapsedSeconds();
+    watch.Reset();
+    progress.SetPhase("materialize");
+    progress.SetTotal(working->size());
+    auto built = internal_lof::MaterializeWithinBudget(
+        *working, *index, ub, threads, flags.GetBool("distinct"),
+        memory_budget_bytes, flags.GetString("spill-dir"), observer, stop);
+    if (!built.ok()) return Fail(built.status());
+    rung = built->rung;
+    m = std::move(built->m);
+    if (m) {
       std::fprintf(stderr,
-                   "materialized %zu neighborhoods (%s index) in %.3fs\n",
+                   rung == internal_lof::BudgetRung::kSpilled
+                       ? "spilled %zu neighborhoods to disk (%s index, "
+                         "mmap-served) in %.3fs\n"
+                       : "materialized %zu neighborhoods (%s index) in "
+                         "%.3fs\n",
                    m->size(), index->name().data(), watch.ElapsedSeconds());
     }
   }
+  const bool degraded_to_requery =
+      rung == internal_lof::BudgetRung::kRequery;
   const double materialize_seconds = watch.ElapsedSeconds();
   if (!flags.GetString("save-materialization").empty()) {
-    if (m == nullptr) {
+    if (!m) {
       std::fprintf(stderr,
                    "--save-materialization skipped: no neighborhood "
                    "database was built on the re-query path\n");
@@ -469,32 +425,17 @@ int main(int argc, char** argv) {
   // Progress units accumulate across phases: the sweep adds n units per
   // MinPts step on top of whatever materialization already contributed.
   const size_t sweep_steps = ub >= lb ? ub - lb + 1 : 0;
-  progress.SetTotal(progress.units_total() +
-                    working->size() * sweep_steps);
+  progress.SetTotal(progress.units_done() + working->size() * sweep_steps);
   TraceRecorder::Span sweep_span(observer.trace, "sweep");
   std::vector<double> aggregated;
   std::vector<ScorerPhase> phases;
   std::vector<double> step_seconds;
   LofSweepResult::PruneSummary prune_summary;
-  if (is_lof) {
-    // LOF keeps its dedicated entry points so the prune-first path (and
-    // its summary) stays available; Run/RunRequery are themselves thin
-    // adapters over the generic ScorerSweep.
-    auto sweep = [&]() -> Result<LofSweepResult> {
-      if (degraded_to_requery) {
-        return LofSweep::RunRequery(*working, *index, lb, ub, *aggregation,
-                                    threads, observer, stop);
-      }
-      if (prune) {
-        LofSweep::PruneOptions prune_options;
-        prune_options.top_n = top_n;
-        return LofSweep::RunPruned(*m, lb, ub, prune_options, *aggregation,
-                                   threads, observer, stop);
-      }
-      return LofSweep::Run(*m, lb, ub, *aggregation,
-                           /*keep_per_min_pts=*/false, threads, observer,
-                           stop);
-    }();
+  if (prune) {
+    LofSweep::PruneOptions prune_options;
+    prune_options.top_n = top_n;
+    auto sweep = LofSweep::RunPruned(*m, lb, ub, prune_options, *aggregation,
+                                     threads, observer, stop);
     if (!sweep.ok()) return Fail(sweep.status());
     aggregated = std::move(sweep->aggregated);
     phases = {{"k_distance", sweep->phase_times.k_distance_seconds},
@@ -512,16 +453,10 @@ int main(int argc, char** argv) {
     scorer_options.db_pct = flags.GetDouble("db-pct");
     scorer_options.db_dmin = flags.GetDouble("db-dmin");
     auto sweep = [&]() -> Result<ScorerSweepResult> {
-      if (degraded_to_requery) {
-        LOFKIT_ASSIGN_OR_RETURN(
-            DensitySubstrate substrate,
-            DensitySubstrate::OverIndex(*working, *index, &metric));
-        return ScorerSweep::Run(substrate, *scorer, lb, ub, *aggregation,
-                                /*keep_per_min_pts=*/false, scorer_options);
-      }
       LOFKIT_ASSIGN_OR_RETURN(
           DensitySubstrate substrate,
-          DensitySubstrate::OverMaterialization(*m, working, &metric));
+          m ? DensitySubstrate::OverMaterialization(*m, working, &metric)
+            : DensitySubstrate::OverIndex(*working, *index, &metric));
       return ScorerSweep::Run(substrate, *scorer, lb, ub, *aggregation,
                               /*keep_per_min_pts=*/false, scorer_options);
     }();
@@ -552,7 +487,8 @@ int main(int argc, char** argv) {
   // is summed over the MinPts steps, so they read like CPU seconds when
   // the sweep ran in parallel).
   std::string phase_line =
-      StrFormat("phase seconds: materialize=%.3f", materialize_seconds);
+      StrFormat("phase seconds: index_build=%.3f materialize=%.3f",
+                index_build_seconds, materialize_seconds);
   for (const ScorerPhase& phase : phases) {
     phase_line += StrFormat(" %s=%.3f", phase.name.c_str(), phase.seconds);
   }
@@ -575,8 +511,7 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < ranked.size(); ++i) {
     std::printf("%-6zu %-10u %-10.4f %s", i + 1, ranked[i].index,
                 ranked[i].score, data.label(ranked[i].index).c_str());
-    if ((flags.GetBool("explain") || !explain_json_path.empty()) &&
-        m != nullptr) {
+    if ((flags.GetBool("explain") || !explain_json_path.empty()) && m) {
       auto explanation =
           ExplainOutlier(*working, *m, ranked[i].index, lb);
       if (explanation.ok()) {
@@ -612,7 +547,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  if (!explain_json_path.empty() && m != nullptr) {
+  if (!explain_json_path.empty() && m) {
     std::ofstream out(explain_json_path);
     if (!out) {
       return Fail(Status::IoError("cannot open explanation output file: " +
@@ -662,7 +597,7 @@ int main(int argc, char** argv) {
     registry.Set(registry.Gauge("pipeline.degraded_to_requery"),
                  degraded_to_requery ? 1.0 : 0.0);
     registry.Set(registry.Gauge("pipeline.spilled_to_disk"),
-                 spilled_to_disk ? 1.0 : 0.0);
+                 rung == internal_lof::BudgetRung::kSpilled ? 1.0 : 0.0);
     registry.Set(registry.Gauge("pipeline.prune_applied"),
                  prune_summary.applied ? 1.0 : 0.0);
     if (prune_summary.applied) {
@@ -694,10 +629,12 @@ int main(int argc, char** argv) {
                  static_cast<double>(memory_budget_bytes));
     registry.Set(registry.Gauge("pipeline.deadline_ms"),
                  static_cast<double>(deadline_ms));
-    if (m != nullptr) {
+    if (m) {
       registry.Set(registry.Gauge("materialize.k_max"),
                    static_cast<double>(m->k_max()));
     }
+    registry.Set(registry.Gauge("phase.index_build_seconds"),
+                 index_build_seconds);
     registry.Set(registry.Gauge("phase.materialize_seconds"),
                  materialize_seconds);
     // Phase gauges in the scorer's own vocabulary — phase.k_distance_seconds
@@ -708,7 +645,7 @@ int main(int argc, char** argv) {
           registry.Gauge(StrFormat("phase.%s_seconds", phase.name.c_str())),
           phase.seconds);
     }
-    if (m != nullptr) {
+    if (m) {
       const MetricsRegistry::MetricId size_hist = registry.Histogram(
           "materialize.neighborhood_size", 1.0, 65536.0, 32);
       for (size_t i = 0; i < m->size(); ++i) {
