@@ -87,8 +87,7 @@ std::string_view IndexKindName(IndexKind kind) {
 IndexKind RecommendIndexKind(size_t dimension) {
   if (dimension <= 2) return IndexKind::kGrid;
   if (dimension <= 12) return IndexKind::kRStarTree;
-  if (dimension <= 24) return IndexKind::kKdTree;
-  return IndexKind::kVaFile;
+  return IndexKind::kKdTree;
 }
 
 }  // namespace lofkit

@@ -16,7 +16,7 @@ enum class IndexKind {
   kLinearScan,  ///< sequential scan (exact, O(n) per query)
   kGrid,        ///< uniform grid (low dimensions)
   kKdTree,      ///< KD-tree (medium dimensions)
-  kRStarTree,   ///< R*-tree with X-tree supernodes (the paper's choice)
+  kRStarTree,   ///< R*-tree, STR-built (kInsert: the paper's X-tree)
   kVaFile,      ///< vector-approximation file (high dimensions)
   kMTree,       ///< M-tree (general metric spaces, e.g. angular distance)
   kRkdForest,   ///< randomized kd-forest (approximate, beyond Fig-10's wall)
@@ -60,10 +60,11 @@ std::vector<IndexKind> AllIndexKinds();
 /// Canonical name of an index kind.
 std::string_view IndexKindName(IndexKind kind);
 
-/// Picks the engine the paper's guidance suggests for a given
-/// dimensionality: grid for d <= 2, tree for medium d, VA-file beyond.
-/// Only ever recommends exact engines — opting into approximation (the
-/// kd-forest) is a quality decision the caller must make explicitly.
+/// Picks the engine for a given dimensionality: grid for d <= 2, the
+/// R*-tree for d <= 12, the kd-tree beyond. Never the VA-file, which is
+/// slower than the linear scan on an in-RAM dataset. Only ever recommends
+/// exact engines — opting into approximation (the kd-forest) is a quality
+/// decision the caller must make explicitly.
 IndexKind RecommendIndexKind(size_t dimension);
 
 }  // namespace lofkit

@@ -106,28 +106,27 @@ Status RStarTreeIndex::Build(const Dataset& data, const Metric& metric) {
     return Status::InvalidArgument("cannot build index over empty dataset");
   }
   data_ = &data;
-  metric_ = &metric;
   kern_ = metric.kernels();
   dim_ = data.dimension();
   nodes_.clear();
 
   if (mode_ == BuildMode::kBulkLoadStr) {
     BulkLoadStr();
-    return Status::OK();
+  } else {
+    root_ = NewNode(/*leaf=*/true);
+    std::vector<double> rect(2 * dim_);
+    for (size_t i = 0; i < data.size(); ++i) {
+      auto p = data.point(i);
+      std::copy(p.begin(), p.end(), rect.begin());
+      std::copy(p.begin(), p.end(), rect.begin() + dim_);
+      // One reinsertion round allowed per level per insert (R* rule); tree
+      // height is bounded generously by 64.
+      std::vector<bool> reinserted(64, false);
+      InsertRect(rect, static_cast<uint32_t>(i), /*target_level=*/0,
+                 reinserted);
+    }
   }
-
-  root_ = NewNode(/*leaf=*/true);
-  std::vector<double> rect(2 * dim_);
-  for (size_t i = 0; i < data.size(); ++i) {
-    auto p = data.point(i);
-    std::copy(p.begin(), p.end(), rect.begin());
-    std::copy(p.begin(), p.end(), rect.begin() + dim_);
-    // One reinsertion round allowed per level per insert (R* rule); tree
-    // height is bounded generously by 64.
-    std::vector<bool> reinserted(64, false);
-    InsertRect(rect, static_cast<uint32_t>(i), /*target_level=*/0,
-               reinserted);
-  }
+  Pack();
   return Status::OK();
 }
 
@@ -214,6 +213,45 @@ void RStarTreeIndex::BulkLoadStr() {
   root_ = level.front();
 }
 
+std::vector<uint32_t> RStarTreeIndex::BreadthFirstOrder() const {
+  std::vector<uint32_t> order = {root_};
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Node& node = nodes_[order[i]];
+    if (!node.leaf) {
+      order.insert(order.end(), node.entries.begin(), node.entries.end());
+    }
+  }
+  return order;
+}
+
+void RStarTreeIndex::Pack() {
+  // Breadth-first order puts each directory node's children next to each
+  // other, so a node expansion reads one run of boxes_. Each leaf gets its
+  // own block-aligned group, as in the kd-tree, so a leaf scan covers
+  // whole blocks of its own points only.
+  const std::vector<uint32_t> order = BreadthFirstOrder();
+  packed_.assign(order.size(), PackedNode{});
+  boxes_.clear();
+  boxes_.reserve(order.size() * 2 * dim_);
+  PointBlockBuilder builder(*data_);
+  uint32_t next_child = 1;
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Node& node = nodes_[order[i]];
+    PackedNode& packed = packed_[i];
+    packed.leaf = node.leaf;
+    packed.count = static_cast<uint32_t>(node.entries.size());
+    boxes_.insert(boxes_.end(), node.mbr.begin(), node.mbr.end());
+    if (node.leaf) {
+      packed.begin = static_cast<uint32_t>(builder.BeginGroup());
+      for (uint32_t id : node.entries) builder.Append(id);
+    } else {
+      packed.begin = next_child;
+      next_child += packed.count;
+    }
+  }
+  view_ = std::move(builder).Build();
+}
+
 Status RStarTreeIndex::CheckInvariants() const {
   if (root_ == Node::kNone || data_ == nullptr) {
     return Status::FailedPrecondition("tree not built");
@@ -280,6 +318,35 @@ Status RStarTreeIndex::CheckInvariants() const {
   for (size_t i = 0; i < seen.size(); ++i) {
     if (!seen[i]) {
       return Status::Internal(StrFormat("point %zu missing from tree", i));
+    }
+  }
+  // The packed query layout mirrors the tree: packed id i is the i-th node
+  // in breadth-first order, with the same box, its children at contiguous
+  // packed ids, and its leaf points, in entry order, in its view_ group.
+  const std::vector<uint32_t> order = BreadthFirstOrder();
+  if (packed_.size() != order.size()) {
+    return Status::Internal(
+        StrFormat("packed layout has %zu nodes, the tree %zu",
+                  packed_.size(), order.size()));
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    const Node& node = nodes_[order[i]];
+    const PackedNode& packed = packed_[i];
+    const size_t limit = node.leaf ? view_.positions() : order.size();
+    if (packed.leaf != node.leaf || packed.count != node.entries.size() ||
+        packed.begin + packed.count > limit ||
+        !std::equal(node.mbr.begin(), node.mbr.end(),
+                    Box(static_cast<uint32_t>(i)))) {
+      return Status::Internal(
+          StrFormat("packed node %zu does not mirror node %u", i, order[i]));
+    }
+    for (size_t j = 0; j < node.entries.size(); ++j) {
+      const uint32_t packed_entry =
+          node.leaf ? view_.id(packed.begin + j) : order[packed.begin + j];
+      if (packed_entry != node.entries[j]) {
+        return Status::Internal(StrFormat(
+            "packed node %zu entry %zu is not node %u's", i, j, order[i]));
+      }
     }
   }
   return Status::OK();
@@ -624,8 +691,34 @@ void RStarTreeIndex::SplitNode(uint32_t node_id,
 }
 
 // ---------------------------------------------------------------------------
-// Queries
+// Queries: both read only the packed layout.
 // ---------------------------------------------------------------------------
+
+template <typename Visit>
+void RStarTreeIndex::ScanLeaf(const PackedNode& leaf, const double* query,
+                              uint32_t skip, QueryStats* stats,
+                              Visit&& visit) const {
+  if (stats != nullptr) {
+    ++stats->leaf_visits;
+    stats->distance_evals += leaf.count;
+  }
+  double rank[PointBlockView::kLanes];
+  for (uint32_t off = 0; off < leaf.count; off += PointBlockView::kLanes) {
+    const size_t pos = leaf.begin + off;
+    kern_.rank_block(kern_.ctx, query,
+                     view_.block(pos / PointBlockView::kLanes), dim_, rank);
+    const uint32_t lanes =
+        std::min<uint32_t>(PointBlockView::kLanes, leaf.count - off);
+    for (uint32_t j = 0; j < lanes; ++j) {
+      const uint32_t id = view_.id(pos + j);
+      if (id == skip) {
+        if (stats != nullptr) --stats->distance_evals;
+        continue;
+      }
+      visit(id, rank[j]);
+    }
+  }
+}
 
 Status RStarTreeIndex::Query(std::span<const double> query, size_t k,
                              std::optional<uint32_t> exclude,
@@ -635,51 +728,37 @@ Status RStarTreeIndex::Query(std::span<const double> query, size_t k,
     return Status::InvalidArgument("k must be >= 1");
   }
   internal_index::KnnCollector collector(k, ctx);
-  // Best-first search over nodes ordered by minimum possible rank
-  // (squared distance for the L2 family); leaves are scanned with the
-  // bounded gather kernel — one indirect call per leaf, early exit
-  // against the current kth rank. The min-heap lives in the context's
-  // frontier pool (push_heap/pop_heap with greater<> — exactly what
-  // std::priority_queue would do, minus the per-query allocation).
+  // Best-first search over packed nodes ordered by minimum possible rank
+  // (squared distance for the L2 family). The min-heap lives in the
+  // context's frontier pool (push_heap/pop_heap with greater<> — exactly
+  // what std::priority_queue would do, minus the per-query allocation).
   std::vector<std::pair<double, uint32_t>>& queue = ctx.scratch.frontier;
   queue.clear();
-  const double* raw = data_->raw().data();
-  const uint32_t skip = exclude.has_value() ? *exclude : Node::kNone;
-  std::vector<double>& rank = ctx.scratch.rank;
+  const uint32_t skip =
+      exclude.has_value() ? *exclude : PointBlockView::kPaddingId;
   QueryStats* stats = ctx.stats;
   if (stats != nullptr) ++stats->queries;
-  queue.emplace_back(0.0, root_);
+  queue.emplace_back(0.0, 0);  // the root
   while (!queue.empty()) {
     std::pop_heap(queue.begin(), queue.end(), std::greater<>());
-    const auto [min_rank, node_id] = queue.back();
+    const auto [min_rank, packed_id] = queue.back();
     queue.pop_back();
     if (min_rank > collector.Tau()) break;
-    const Node& node = nodes_[node_id];
+    const PackedNode& node = packed_[packed_id];
     if (node.leaf) {
-      if (stats != nullptr) {
-        ++stats->leaf_visits;
-        stats->distance_evals += node.entries.size();
-      }
-      rank.resize(node.entries.size());
-      kern_.rank_gather(kern_.ctx, query.data(), raw, node.entries.data(),
-                        node.entries.size(), dim_, collector.Tau(),
-                        rank.data());
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        if (node.entries[i] == skip) {
-          if (stats != nullptr) --stats->distance_evals;
-          continue;
-        }
-        collector.Offer(node.entries[i], rank[i]);
-      }
+      ScanLeaf(node, query.data(), skip, stats,
+               [&](uint32_t id, double rank) { collector.Offer(id, rank); });
       continue;
     }
     if (stats != nullptr) ++stats->node_visits;
-    for (uint32_t child_id : node.entries) {
-      const Node& child = nodes_[child_id];
-      const double child_rank = metric_->MinRankToBox(
-          query, {child.mbr.data(), dim_}, {child.mbr.data() + dim_, dim_});
-      if (child_rank <= collector.Tau()) {
-        queue.emplace_back(child_rank, child_id);
+    const double tau = collector.Tau();
+    for (uint32_t child = node.begin; child < node.begin + node.count;
+         ++child) {
+      const double* box = Box(child);
+      const double child_rank =
+          kern_.rank_box(kern_.ctx, query.data(), box, box + dim_, dim_);
+      if (child_rank <= tau) {
+        queue.emplace_back(child_rank, child);
         std::push_heap(queue.begin(), queue.end(), std::greater<>());
       } else if (stats != nullptr) {
         ++stats->rank_prune_hits;
@@ -702,42 +781,34 @@ Status RStarTreeIndex::QueryRadius(std::span<const double> query,
   std::vector<Neighbor>& result = ctx.scratch.out;
   result.clear();
   std::vector<uint32_t>& stack = ctx.scratch.stack;
-  stack.assign(1, root_);
-  const double* raw = data_->raw().data();
-  const uint32_t skip = exclude.has_value() ? *exclude : Node::kNone;
+  stack.assign(1, 0);  // the root
+  const uint32_t skip =
+      exclude.has_value() ? *exclude : PointBlockView::kPaddingId;
   const double rank_hi = PruneRankUpperBound(kern_.squared, radius);
-  std::vector<double>& rank = ctx.scratch.rank;
   QueryStats* stats = ctx.stats;
   if (stats != nullptr) ++stats->queries;
   while (!stack.empty()) {
-    const uint32_t node_id = stack.back();
+    const uint32_t packed_id = stack.back();
     stack.pop_back();
-    const Node& node = nodes_[node_id];
-    if (metric_->MinRankToBox(query, {node.mbr.data(), dim_},
-                              {node.mbr.data() + dim_, dim_}) > rank_hi) {
+    const double* box = Box(packed_id);
+    if (kern_.rank_box(kern_.ctx, query.data(), box, box + dim_, dim_) >
+        rank_hi) {
       if (stats != nullptr) ++stats->rank_prune_hits;
       continue;
     }
+    const PackedNode& node = packed_[packed_id];
     if (node.leaf) {
-      if (stats != nullptr) {
-        ++stats->leaf_visits;
-        stats->distance_evals += node.entries.size();
-      }
-      rank.resize(node.entries.size());
-      kern_.rank_gather(kern_.ctx, query.data(), raw, node.entries.data(),
-                        node.entries.size(), dim_, rank_hi, rank.data());
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        if (node.entries[i] == skip) {
-          if (stats != nullptr) --stats->distance_evals;
-          continue;
-        }
-        if (rank[i] > rank_hi) continue;
-        const double dist = DistanceFromRank(kern_.squared, rank[i]);
-        if (dist <= radius) result.push_back(Neighbor{node.entries[i], dist});
-      }
+      ScanLeaf(node, query.data(), skip, stats, [&](uint32_t id, double rank) {
+        if (rank > rank_hi) return;
+        const double dist = DistanceFromRank(kern_.squared, rank);
+        if (dist <= radius) result.push_back(Neighbor{id, dist});
+      });
     } else {
       if (stats != nullptr) ++stats->node_visits;
-      stack.insert(stack.end(), node.entries.begin(), node.entries.end());
+      for (uint32_t child = node.begin; child < node.begin + node.count;
+           ++child) {
+        stack.push_back(child);
+      }
     }
   }
   internal_index::SortNeighbors(result);

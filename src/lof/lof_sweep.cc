@@ -36,7 +36,6 @@ LofSweepResult ToLofSweepResult(ScorerSweepResult&& sweep) {
   result.min_pts_lb = sweep.min_pts_lb;
   result.min_pts_ub = sweep.min_pts_ub;
   result.aggregation = sweep.aggregation;
-  result.degraded_to_requery = sweep.degraded_to_requery;
   result.phase_times.k_distance_seconds = sweep.PhaseSeconds("k_distance");
   result.phase_times.lrd_seconds = sweep.PhaseSeconds("lrd");
   result.phase_times.lof_seconds = sweep.PhaseSeconds("lof");

@@ -60,11 +60,6 @@ struct LofSweepResult {
   /// Wall seconds of each MinPts step (index 0 is MinPtsLB). Parallel
   /// steps overlap, so these do not sum to the sweep's wall time.
   std::vector<double> step_seconds;
-
-  /// True when the sweep ran on the bounded-memory re-query path (memory
-  /// budget forced degradation). The aggregated bits are identical either
-  /// way.
-  bool degraded_to_requery = false;
 };
 
 /// Robustness knobs for LofSweep::RankOutliers, all defaulted to "off".

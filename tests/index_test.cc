@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,7 @@
 #include "index/kd_tree_index.h"
 #include "index/linear_scan_index.h"
 #include "index/m_tree_index.h"
+#include "index/neighborhood_materializer.h"
 #include "index/rkd_forest_index.h"
 #include "index/rstar_tree_index.h"
 #include "index/va_file_index.h"
@@ -88,7 +93,7 @@ TEST(IndexFactoryTest, RecommendationCoversAllRegimes) {
   EXPECT_EQ(RecommendIndexKind(2), IndexKind::kGrid);
   EXPECT_EQ(RecommendIndexKind(5), IndexKind::kRStarTree);
   EXPECT_EQ(RecommendIndexKind(20), IndexKind::kKdTree);
-  EXPECT_EQ(RecommendIndexKind(64), IndexKind::kVaFile);
+  EXPECT_EQ(RecommendIndexKind(64), IndexKind::kKdTree);
 }
 
 // ---------------------------------------------------------------------------
@@ -476,7 +481,7 @@ TEST(RStarTreeIndexTest, HighDimensionalDataGrowsSupernodes) {
   // kick in at least occasionally on clustered data.
   Rng rng(59);
   Dataset data = MakeRandomClustered(rng, 30, 3000);
-  RStarTreeIndex index;
+  RStarTreeIndex index(RStarTreeIndex::BuildMode::kInsert);
   ASSERT_TRUE(index.Build(data, Euclidean()).ok());
   // The structure stays queryable either way; supernodes are expected but
   // we only assert the tree did not degenerate into an error.
@@ -500,7 +505,7 @@ TEST(RStarTreeIndexTest, RebuildReplacesContent) {
 TEST(RStarTreeIndexTest, InvariantsHoldAfterInsertionBuild) {
   Rng rng(160);
   Dataset data = MakeRandomClustered(rng, 3, 3000);
-  RStarTreeIndex index;
+  RStarTreeIndex index(RStarTreeIndex::BuildMode::kInsert);
   ASSERT_TRUE(index.Build(data, Euclidean()).ok());
   EXPECT_TRUE(index.CheckInvariants().ok()) << index.CheckInvariants();
 }
@@ -539,11 +544,83 @@ TEST(RStarTreeIndexTest, BulkLoadUsesFewerNodes) {
   // nodes than one-by-one insertion.
   Rng rng(163);
   Dataset data = MakeRandomClustered(rng, 2, 4000);
-  RStarTreeIndex inserted;
+  RStarTreeIndex inserted(RStarTreeIndex::BuildMode::kInsert);
   RStarTreeIndex bulk(RStarTreeIndex::BuildMode::kBulkLoadStr);
   ASSERT_TRUE(inserted.Build(data, Euclidean()).ok());
   ASSERT_TRUE(bulk.Build(data, Euclidean()).ok());
   EXPECT_LE(bulk.node_count(), inserted.node_count());
+}
+
+// Both builds pack the same query layout, so step 1 must yield the same M
+// as the linear scan: same tie-extended lists, same distance bits. The
+// integer lattices have exact ties at every k; {1..10}^3 is large enough
+// that a child box at exactly tau is met after tau has settled, so a
+// strict `<` in the push-time bound test would drop tied neighbors there.
+TEST(RStarTreeIndexTest, BuildsMaterializeIdenticalM) {
+  std::vector<std::pair<std::string, Dataset>> sets;
+  for (size_t dim : {2, 5, 10}) {
+    Rng rng(170 + dim);
+    sets.emplace_back("clustered_d" + std::to_string(dim),
+                      MakeRandomClustered(rng, dim, 500));
+  }
+  for (const auto& [dim, side] : {std::pair{5, 3}, std::pair{3, 10}}) {
+    Dataset lattice = std::move(Dataset::Create(dim)).value();
+    int count = 1;
+    for (int d = 0; d < dim; ++d) count *= side;
+    std::vector<double> p(dim);
+    for (int code = 0; code < count; ++code) {
+      for (int d = 0, rest = code; d < dim; ++d, rest /= side) {
+        p[d] = 1 + rest % side;
+      }
+      ASSERT_TRUE(lattice.Append(p).ok());
+    }
+    sets.emplace_back("lattice_" + std::to_string(side) + "^" +
+                          std::to_string(dim),
+                      std::move(lattice));
+  }
+
+  const Metric* metrics[] = {&Euclidean(), &Manhattan(), &Chebyshev()};
+  for (const auto& [set_name, data] : sets) {
+    for (const Metric* metric : metrics) {
+      const std::string label = set_name + "/" + std::string(metric->name());
+      LinearScanIndex scan;
+      RStarTreeIndex inserted(RStarTreeIndex::BuildMode::kInsert);
+      RStarTreeIndex bulk;
+      ASSERT_TRUE(scan.Build(data, *metric).ok());
+      ASSERT_TRUE(inserted.Build(data, *metric).ok());
+      ASSERT_TRUE(bulk.Build(data, *metric).ok());
+      EXPECT_TRUE(inserted.CheckInvariants().ok())
+          << label << ": " << inserted.CheckInvariants();
+      EXPECT_TRUE(bulk.CheckInvariants().ok())
+          << label << ": " << bulk.CheckInvariants();
+      for (size_t threads : {1, 3}) {
+        auto expected =
+            NeighborhoodMaterializer::MaterializeParallel(data, scan, 12,
+                                                          threads);
+        ASSERT_TRUE(expected.ok()) << expected.status();
+        for (const RStarTreeIndex* tree : {&inserted, &bulk}) {
+          auto actual = NeighborhoodMaterializer::MaterializeParallel(
+              data, *tree, 12, threads);
+          ASSERT_TRUE(actual.ok()) << actual.status();
+          ASSERT_EQ(actual->size(), expected->size()) << label;
+          for (size_t i = 0; i < expected->size(); ++i) {
+            const auto want = expected->neighbors(i);
+            const auto got = actual->neighbors(i);
+            ASSERT_EQ(got.size(), want.size())
+                << label << " threads " << threads << " point " << i;
+            for (size_t j = 0; j < want.size(); ++j) {
+              ASSERT_EQ(got[j].index, want[j].index)
+                  << label << " point " << i << " rank " << j;
+              ASSERT_EQ(std::memcmp(&got[j].distance, &want[j].distance,
+                                    sizeof(double)),
+                        0)
+                  << label << " point " << i << " rank " << j;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(VaFileIndexTest, RejectsBadBitWidth) {

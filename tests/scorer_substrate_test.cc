@@ -221,7 +221,6 @@ TEST_F(ScorerSubstrateTest, SweepRoutesAndThreadCountsBitIdentical) {
     auto requery = RequerySweep(*data_, index_, 5, 12, threads);
     ASSERT_TRUE(sweep.ok());
     ASSERT_TRUE(requery.ok());
-    EXPECT_FALSE(sweep->degraded_to_requery);
     EXPECT_TRUE(requery->degraded_to_requery);
     for (size_t i = 0; i < data_->size(); ++i) {
       EXPECT_EQ(sweep->aggregated[i], baseline->aggregated[i]);

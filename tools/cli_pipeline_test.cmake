@@ -20,8 +20,9 @@ if(found_o2 EQUAL -1 OR found_o1 EQUAL -1)
   message(FATAL_ERROR "planted outliers not on top:\n${cli_output}")
 endif()
 
-# Persistence smoke: save M, reload it (copying and mmap'ed), and demand a
-# bit-identical --top ranking from every route.
+# Persistence smoke: save M, reload it (copying, mmap'ed, and under a
+# memory budget, which maps it too), and demand a bit-identical --top
+# ranking from every route.
 execute_process(
   COMMAND ${CLI} --input ${WORKDIR}/ds1_smoke.csv --has-header
           --minpts-lb 10 --minpts-ub 30 --top 5
@@ -31,12 +32,13 @@ execute_process(
 if(NOT save_result EQUAL 0)
   message(FATAL_ERROR "cli --save-materialization failed: ${save_result}")
 endif()
-foreach(map_flag "" "--map-materialization")
+foreach(map_flag "" "--map-materialization" "--memory-budget-mb=1")
   execute_process(
     COMMAND ${CLI} --input ${WORKDIR}/ds1_smoke.csv --has-header
             --minpts-lb 10 --minpts-ub 30 --top 5
             --load-materialization ${WORKDIR}/ds1_smoke.lofc ${map_flag}
     OUTPUT_VARIABLE load_output
+    ERROR_VARIABLE load_error
     RESULT_VARIABLE load_result)
   if(NOT load_result EQUAL 0)
     message(FATAL_ERROR "cli reload (${map_flag}) failed: ${load_result}")
@@ -44,6 +46,13 @@ foreach(map_flag "" "--map-materialization")
   if(NOT save_output STREQUAL load_output)
     message(FATAL_ERROR "reloaded ranking (${map_flag}) differs:\n"
             "saved run:\n${save_output}\nreloaded run:\n${load_output}")
+  endif()
+  if(NOT map_flag STREQUAL "")
+    string(FIND "${load_error}" "mapped materialization" found_mapped)
+    if(found_mapped EQUAL -1)
+      message(FATAL_ERROR "reload (${map_flag}) did not map the file:\n"
+              "${load_error}")
+    endif()
   endif()
 endforeach()
 

@@ -160,7 +160,8 @@ int main(int argc, char** argv) {
                "unlimited); when the projected size exceeds it the run "
                "spills to disk (with --spill-dir) or degrades to the slower "
                "bounded-memory re-query path, with identical scores either "
-               "way");
+               "way; a --load-materialization file is mapped, as with "
+               "--map-materialization");
   flags.AddString("stats-json", "",
                   "write run metrics (query-cost counters, phase seconds, "
                   "score/neighborhood histograms) as JSON to this file");
@@ -339,7 +340,15 @@ int main(int argc, char** argv) {
       NeighborhoodMaterializer::ProjectedBytes(working->size(), ub);
   if (!flags.GetString("load-materialization").empty()) {
     TraceRecorder::Span span(observer.trace, "load_materialization");
-    const bool map = flags.GetBool("map-materialization");
+    // Under a memory budget a reloaded M is mapped, never copied: mapped
+    // pages are file cache the kernel can reclaim, not anonymous memory.
+    const bool map =
+        flags.GetBool("map-materialization") || memory_budget_bytes > 0;
+    if (map && !flags.GetBool("map-materialization")) {
+      std::fprintf(stderr,
+                   "--memory-budget-mb set: mapping the loaded "
+                   "materialization instead of copying it into RAM\n");
+    }
     auto loaded =
         map ? NeighborhoodMaterializer::MapFromFile(
                   flags.GetString("load-materialization"), working)
