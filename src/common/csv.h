@@ -33,6 +33,19 @@ struct CsvReadOptions {
   size_t max_line_bytes = 1 << 20;
 };
 
+/// A parsed numeric CSV file in one row-major buffer: data row r is
+/// values[r * columns, (r + 1) * columns). The same parse as CsvTable's,
+/// without a vector per row; the Dataset loader builds on it.
+struct CsvValues {
+  std::vector<std::string> header;  ///< Empty when the file had none.
+  /// Fields per line: the header's count, else the first data row's, else
+  /// 0. Equals CsvTable::num_columns() of the same file.
+  size_t columns = 0;
+  std::vector<double> values;
+
+  size_t num_rows() const { return columns == 0 ? 0 : values.size() / columns; }
+};
+
 /// Parses CSV text already in memory. Returns InvalidArgument on ragged rows
 /// or non-numeric fields (with the offending 1-based line number).
 Result<CsvTable> ParseCsv(const std::string& text,
@@ -42,8 +55,13 @@ Result<CsvTable> ParseCsv(const std::string& text,
 Result<CsvTable> ReadCsvFile(const std::string& path,
                              const CsvReadOptions& options = {});
 
-/// Serializes a table (header optional) back to CSV text with full double
-/// precision (round-trips through ParseCsv).
+/// ReadCsvFile into one flat buffer: the same checks and messages, in the
+/// same order.
+Result<CsvValues> ReadCsvValues(const std::string& path,
+                                const CsvReadOptions& options = {});
+
+/// Serializes a table (header optional) back to CSV text, every value as
+/// printf's "%.17g" prints it, which round-trips through ParseCsv.
 std::string WriteCsv(const CsvTable& table, char separator = ',');
 
 /// Writes CSV text to a file, overwriting it. Returns IoError on failure.

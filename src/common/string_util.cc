@@ -1,9 +1,12 @@
 #include "common/string_util.h"
 
+#include <cerrno>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cerrno>
 
 namespace lofkit {
 
@@ -35,6 +38,22 @@ Result<double> ParseDouble(std::string_view input) {
   std::string_view trimmed = Trim(input);
   if (trimmed.empty()) {
     return Status::InvalidArgument("empty string is not a number");
+  }
+  // Fast path. std::from_chars and strtod both round correctly, so where
+  // from_chars consumes the whole field, strtod would parse the same
+  // decimal to the same bits. Its result is kept only when it is a normal
+  // double above the smallest one: strtod flags a decimal that rounds up
+  // to DBL_MIN as an underflow. Everything else (zero, subnormals,
+  // overflow, inf and nan, hex floats, a leading '+', trailing bytes, any
+  // error) takes the strtod path below, which defines the accepted
+  // grammar and every message.
+  double fast = 0.0;
+  const char* const last = trimmed.data() + trimmed.size();
+  const std::from_chars_result parsed =
+      std::from_chars(trimmed.data(), last, fast);
+  if (parsed.ec == std::errc() && parsed.ptr == last && std::isnormal(fast) &&
+      std::fabs(fast) != DBL_MIN) {
+    return fast;
   }
   std::string buf(trimmed);
   errno = 0;

@@ -1,16 +1,27 @@
 #include "dataset/loaders.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/fail_point.h"
 #include "common/string_util.h"
 
 namespace lofkit {
 
-Result<Dataset> DatasetFromCsvTable(const CsvTable& table,
-                                    const DatasetLoadOptions& options) {
-  if (table.rows.empty()) {
+namespace {
+
+// The one row-to-dataset step behind DatasetFromCsvFile and
+// DatasetFromCsvTable. Its checks come in a fixed order: no data rows, the
+// column selection, then row by row the "loaders.row" fail point and the
+// finiteness of the row's coordinates. Every parse error of the file has
+// been reported before this runs, so a non-finite row never hides one.
+Result<Dataset> DatasetFromValues(CsvValues parsed,
+                                  const DatasetLoadOptions& options) {
+  const size_t rows = parsed.num_rows();
+  if (rows == 0) {
     return Status::InvalidArgument("CSV table has no data rows");
   }
-  const size_t columns = table.num_columns();
+  const size_t columns = parsed.columns;
   std::vector<size_t> coords = options.coordinate_columns;
   if (coords.empty()) {
     for (size_t c = 0; c < columns; ++c) {
@@ -38,35 +49,68 @@ Result<Dataset> DatasetFromCsvTable(const CsvTable& table,
                   options.label_column, columns));
   }
 
-  LOFKIT_ASSIGN_OR_RETURN(Dataset dataset, Dataset::Create(coords.size()));
-  std::vector<double> point(coords.size());
-  for (size_t r = 0; r < table.rows.size(); ++r) {
+  // When every column is a coordinate, in file order, the parsed buffer
+  // already is the dataset's storage; otherwise the selected columns are
+  // copied out of it.
+  const size_t dimension = coords.size();
+  bool in_place = options.label_column < 0 && dimension == columns;
+  for (size_t i = 0; in_place && i < dimension; ++i) in_place = coords[i] == i;
+  std::vector<double> coordinates;
+  if (in_place) {
+    coordinates = std::move(parsed.values);
+  } else {
+    coordinates.resize(rows * dimension);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t i = 0; i < dimension; ++i) {
+        coordinates[r * dimension + i] = parsed.values[r * columns + coords[i]];
+      }
+    }
+  }
+  for (size_t r = 0; r < rows; ++r) {
     LOFKIT_FAIL_POINT("loaders.row");
-    const std::vector<double>& row = table.rows[r];
-    for (size_t i = 0; i < coords.size(); ++i) {
-      point[i] = row[coords[i]];
+    // NaN or inf would silently poison every distance; name the data row
+    // rather than just the symptom.
+    const double* point = coordinates.data() + r * dimension;
+    if (!std::all_of(point, point + dimension,
+                     [](double v) { return std::isfinite(v); })) {
+      return Status::InvalidArgument(StrFormat(
+          "data row %zu: non-finite coordinate in point", r + 1));
     }
-    std::string label;
-    if (options.label_column >= 0) {
-      label = StrFormat("%g", row[static_cast<size_t>(options.label_column)]);
-    }
-    // Re-wrap Append failures (dimension can't mismatch here, so this is
-    // the non-finite-coordinate guard) with the offending data row, so a
-    // CSV holding "inf" or "nan" points at the row instead of just the
-    // symptom.
-    if (Status status = dataset.Append(point, std::move(label));
-        !status.ok()) {
-      return Status::InvalidArgument(
-          StrFormat("data row %zu: %s", r + 1, status.message().c_str()));
+  }
+  LOFKIT_ASSIGN_OR_RETURN(
+      Dataset dataset, Dataset::FromRowMajor(dimension, std::move(coordinates)));
+  if (options.label_column >= 0) {
+    const size_t label = static_cast<size_t>(options.label_column);
+    for (size_t r = 0; r < rows; ++r) {
+      dataset.set_label(r, StrFormat("%g", parsed.values[r * columns + label]));
     }
   }
   return dataset;
 }
 
+}  // namespace
+
+Result<Dataset> DatasetFromCsvTable(const CsvTable& table,
+                                    const DatasetLoadOptions& options) {
+  CsvValues parsed;
+  parsed.columns = table.num_columns();
+  parsed.values.reserve(table.rows.size() * parsed.columns);
+  for (size_t r = 0; r < table.rows.size(); ++r) {
+    const std::vector<double>& row = table.rows[r];
+    if (row.size() != parsed.columns) {
+      return Status::InvalidArgument(
+          StrFormat("CSV table row %zu has %zu fields, expected %zu", r + 1,
+                    row.size(), parsed.columns));
+    }
+    parsed.values.insert(parsed.values.end(), row.begin(), row.end());
+  }
+  return DatasetFromValues(std::move(parsed), options);
+}
+
 Result<Dataset> DatasetFromCsvFile(const std::string& path,
                                    const DatasetLoadOptions& options) {
-  LOFKIT_ASSIGN_OR_RETURN(CsvTable table, ReadCsvFile(path, options.csv));
-  return DatasetFromCsvTable(table, options);
+  LOFKIT_ASSIGN_OR_RETURN(CsvValues parsed, ReadCsvValues(path, options.csv));
+  return DatasetFromValues(std::move(parsed), options);
 }
 
 }  // namespace lofkit

@@ -21,11 +21,15 @@ struct DatasetLoadOptions {
   CsvReadOptions csv;
 };
 
-/// Builds a Dataset from an in-memory CSV table.
+/// Builds a Dataset from an in-memory CSV table. Every row must have
+/// table.num_columns() fields. A row holding a non-finite coordinate fails
+/// with InvalidArgument naming its 1-based data row.
 Result<Dataset> DatasetFromCsvTable(const CsvTable& table,
                                     const DatasetLoadOptions& options = {});
 
-/// Reads a CSV file into a Dataset (ReadCsvFile + DatasetFromCsvTable).
+/// Reads a CSV file into a Dataset: the same result as ReadCsvFile followed
+/// by DatasetFromCsvTable, but the file is read once and its rows are
+/// parsed straight into one flat buffer, with no CsvTable in between.
 Result<Dataset> DatasetFromCsvFile(const std::string& path,
                                    const DatasetLoadOptions& options = {});
 

@@ -10,6 +10,13 @@ namespace lofkit {
 
 namespace {
 
+// Relative slack on Query's triangle-inequality bounds. Each bound combines
+// distances that were rounded (acos under Angular() rounds the most), so in
+// floating point it can land a few ulps above a tied neighbor's exact
+// distance and prune that neighbor. The slack only loosens pruning: the
+// collector still decides membership on the exact distance.
+constexpr double kBoundSlack = 1e-12;
+
 Status CheckQuery(const Dataset* data, std::span<const double> query) {
   if (data == nullptr) {
     return Status::FailedPrecondition("index queried before Build()");
@@ -271,7 +278,8 @@ Status MTreeIndex::Query(std::span<const double> query, size_t k,
       if (have_routing) {
         const double lower =
             std::abs(top.aux - entry.parent_distance) -
-            (node.leaf ? 0.0 : entry.radius);
+            (node.leaf ? 0.0 : entry.radius) -
+            kBoundSlack * (top.aux + entry.parent_distance + entry.radius);
         if (lower > collector.Tau()) {
           if (stats != nullptr) ++stats->rank_prune_hits;
           continue;
@@ -292,7 +300,8 @@ Status MTreeIndex::Query(std::span<const double> query, size_t k,
       } else {
         if (stats != nullptr) ++stats->distance_evals;
         const double dist = DistanceToQuery(query, entry.object);
-        const double dmin = std::max(0.0, dist - entry.radius);
+        const double dmin = std::max(
+            0.0, dist - entry.radius - kBoundSlack * (dist + entry.radius));
         if (dmin <= collector.Tau()) {
           queue.push_back({dmin, entry.child, dist});
           std::push_heap(queue.begin(), queue.end(), dmin_greater);

@@ -338,35 +338,70 @@ TEST_P(IndexConformanceTest, ExternalQueryPointWorks) {
 }
 
 TEST_P(IndexConformanceTest, TiesAreAllReturned) {
-  // A regular integer grid has massive distance ties; Definition 4 says the
-  // k-distance neighborhood contains every tied point.
+  // Definition 4: the k-distance neighborhood holds every point tied at the
+  // k-distance, and lattices tie massively.
   const EngineCase& param = GetParam();
-  if (param.dim != 2) GTEST_SKIP() << "tie dataset is 2-d";
-  auto data_or = Dataset::Create(2);
-  ASSERT_TRUE(data_or.ok());
-  Dataset data = std::move(data_or).value();
-  for (int x = 0; x < 10; ++x) {
-    for (int y = 0; y < 10; ++y) {
-      const double p[2] = {static_cast<double>(x), static_cast<double>(y)};
-      ASSERT_TRUE(data.Append(p).ok());
+  if (param.dim == 2) {
+    auto data_or = Dataset::Create(2);
+    ASSERT_TRUE(data_or.ok());
+    Dataset data = std::move(data_or).value();
+    for (int x = 0; x < 10; ++x) {
+      for (int y = 0; y < 10; ++y) {
+        const double p[2] = {static_cast<double>(x), static_cast<double>(y)};
+        ASSERT_TRUE(data.Append(p).ok());
+      }
+    }
+    auto engine = CreateIndex(param.kind);
+    ASSERT_TRUE(engine->Build(data, *param.metric).ok());
+    // The four axis neighbors of an interior point are all at distance 1:
+    // querying k=2 must return all 4 (|N_k| > k).
+    const size_t center = 5 * 10 + 5;
+    auto result = engine->Query(data.point(center), 2,
+                                static_cast<uint32_t>(center));
+    ASSERT_TRUE(result.ok());
+    size_t at_k_distance = 0;
+    const double k_distance = (*result)[1].distance;
+    for (const Neighbor& n : *result) {
+      EXPECT_LE(n.distance, k_distance);
+      if (n.distance == k_distance) ++at_k_distance;
+    }
+    EXPECT_EQ(result->size(), 4u);
+    EXPECT_EQ(at_k_distance, 4u);
+  }
+
+  // At every dimension: 400 points with coordinates drawn from {1, 2, 3}.
+  // For every point and k = 1..7 the engine's tie-extended list must equal
+  // the linear scan's, in index and in distance bits.
+  Rng rng(8000 + param.dim);
+  auto lattice_or = Dataset::Create(param.dim);
+  ASSERT_TRUE(lattice_or.ok());
+  Dataset lattice = std::move(lattice_or).value();
+  std::vector<double> p(param.dim);
+  for (size_t i = 0; i < 400; ++i) {
+    for (double& c : p) c = static_cast<double>(1 + rng.UniformU64(3));
+    ASSERT_TRUE(lattice.Append(p).ok());
+  }
+  LinearScanIndex reference;
+  ASSERT_TRUE(reference.Build(lattice, *param.metric).ok());
+  auto engine = CreateIndex(param.kind);
+  ASSERT_TRUE(engine->Build(lattice, *param.metric).ok());
+  for (uint32_t q = 0; q < lattice.size(); ++q) {
+    for (size_t k = 1; k <= 7; ++k) {
+      auto expected = reference.Query(lattice.point(q), k, q);
+      auto actual = engine->Query(lattice.point(q), k, q);
+      ASSERT_TRUE(expected.ok() && actual.ok());
+      ASSERT_EQ(actual->size(), expected->size())
+          << "query " << q << ", k " << k;
+      for (size_t i = 0; i < expected->size(); ++i) {
+        ASSERT_EQ((*actual)[i].index, (*expected)[i].index)
+            << "query " << q << ", k " << k << ", rank " << i;
+        ASSERT_EQ(std::memcmp(&(*actual)[i].distance,
+                              &(*expected)[i].distance, sizeof(double)),
+                  0)
+            << "query " << q << ", k " << k << ", rank " << i;
+      }
     }
   }
-  auto engine = CreateIndex(param.kind);
-  ASSERT_TRUE(engine->Build(data, *param.metric).ok());
-  // The four axis neighbors of an interior point are all at distance 1:
-  // querying k=2 must return all 4 (|N_k| > k).
-  const size_t center = 5 * 10 + 5;
-  auto result = engine->Query(data.point(center), 2,
-                              static_cast<uint32_t>(center));
-  ASSERT_TRUE(result.ok());
-  size_t at_k_distance = 0;
-  const double k_distance = (*result)[1].distance;
-  for (const Neighbor& n : *result) {
-    EXPECT_LE(n.distance, k_distance);
-    if (n.distance == k_distance) ++at_k_distance;
-  }
-  EXPECT_EQ(result->size(), 4u);
-  EXPECT_EQ(at_k_distance, 4u);
 }
 
 TEST_P(IndexConformanceTest, LargeKReturnsAllEligible) {

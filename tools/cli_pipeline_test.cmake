@@ -127,5 +127,26 @@ foreach(scorer lof ldof kde knn_distance db_outlier)
   endif()
 endforeach()
 
+# Phase attribution: a run that writes its scores reports the load and the
+# write as gauges of their own in --stats-json.
+execute_process(
+  COMMAND ${CLI} --input ${WORKDIR}/ds1_smoke.csv --has-header
+          --minpts-lb 10 --minpts-ub 30 --top 2
+          --output ${WORKDIR}/ds1_scores.csv
+          --stats-json ${WORKDIR}/ds1_stats.json
+  OUTPUT_QUIET
+  RESULT_VARIABLE stats_result)
+if(NOT stats_result EQUAL 0)
+  message(FATAL_ERROR "cli --output --stats-json failed: ${stats_result}")
+endif()
+file(READ ${WORKDIR}/ds1_stats.json stats_json)
+foreach(gauge phase.load_seconds phase.write_seconds)
+  string(FIND "${stats_json}" "\"${gauge}\"" found_gauge)
+  if(found_gauge EQUAL -1)
+    message(FATAL_ERROR "--stats-json lacks ${gauge}:\n${stats_json}")
+  endif()
+endforeach()
+
 file(REMOVE ${WORKDIR}/ds1_smoke.csv ${WORKDIR}/ds1_smoke.lofc
-     ${WORKDIR}/ds1_torn.lofc ${WORKDIR}/spill_smoke.csv)
+     ${WORKDIR}/ds1_torn.lofc ${WORKDIR}/spill_smoke.csv
+     ${WORKDIR}/ds1_scores.csv ${WORKDIR}/ds1_stats.json)

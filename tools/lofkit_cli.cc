@@ -254,6 +254,7 @@ int main(int argc, char** argv) {
   }
 
   // Load.
+  Stopwatch load_watch;
   TraceRecorder::Span load_span(observer.trace, "load");
   DatasetLoadOptions load_options;
   load_options.csv.has_header = flags.GetBool("has-header");
@@ -271,6 +272,7 @@ int main(int argc, char** argv) {
     working = &*normalized;
   }
   load_span.End();
+  const double load_seconds = load_watch.ElapsedSeconds();
   std::fprintf(stderr, "loaded %zu points of dimension %zu\n", data.size(),
                data.dimension());
 
@@ -495,9 +497,9 @@ int main(int argc, char** argv) {
   // Per-phase breakdown, in the scorer's own phase vocabulary (each phase
   // is summed over the MinPts steps, so they read like CPU seconds when
   // the sweep ran in parallel).
-  std::string phase_line =
-      StrFormat("phase seconds: index_build=%.3f materialize=%.3f",
-                index_build_seconds, materialize_seconds);
+  std::string phase_line = StrFormat(
+      "phase seconds: load=%.3f index_build=%.3f materialize=%.3f",
+      load_seconds, index_build_seconds, materialize_seconds);
   for (const ScorerPhase& phase : phases) {
     phase_line += StrFormat(" %s=%.3f", phase.name.c_str(), phase.seconds);
   }
@@ -572,7 +574,9 @@ int main(int argc, char** argv) {
                  explanation_json.size(), explain_json_path.c_str());
   }
 
+  double write_seconds = 0.0;
   if (!flags.GetString("output").empty()) {
+    Stopwatch write_watch;
     CsvTable table;
     table.header = {"point", "score"};
     for (size_t i = 0; i < aggregated.size(); ++i) {
@@ -583,6 +587,7 @@ int main(int argc, char** argv) {
         !status.ok()) {
       return Fail(status);
     }
+    write_seconds = write_watch.ElapsedSeconds();
     std::fprintf(stderr, "wrote scores to %s\n",
                  flags.GetString("output").c_str());
   }
@@ -642,10 +647,12 @@ int main(int argc, char** argv) {
       registry.Set(registry.Gauge("materialize.k_max"),
                    static_cast<double>(m->k_max()));
     }
+    registry.Set(registry.Gauge("phase.load_seconds"), load_seconds);
     registry.Set(registry.Gauge("phase.index_build_seconds"),
                  index_build_seconds);
     registry.Set(registry.Gauge("phase.materialize_seconds"),
                  materialize_seconds);
+    registry.Set(registry.Gauge("phase.write_seconds"), write_seconds);
     // Phase gauges in the scorer's own vocabulary — phase.k_distance_seconds
     // / phase.lrd_seconds / phase.lof_seconds for LOF, phase.ldof_seconds
     // for LDOF, and so on.
